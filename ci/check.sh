@@ -7,7 +7,7 @@
 #   integration — end-to-end, conformance, determinism suites
 #   check       — invariant oracles, schedule replay, baseline conformance
 #   wire        — wire codec primitives, per-kind round-trip, snapshot codec,
-#                 estimate-vs-encoded metering band
+#                 exact encoded-size metering of every send
 #   obs         — metrics registry/parity, op tracing, tick series, flight
 #                 recorder, violation-trace determinism
 set -euo pipefail
@@ -136,6 +136,23 @@ fi
 "$BUILD_DIR/rgb_fuzz" --groups 8 --churn 1 --stability 1 --seeds 6 --start 1 \
     --quiet
 rm -f "$mg0" "$mg8"
+
+# Combined-profile gate: every fault axis at once — groups, churn,
+# stability, partitions and snapshot-join. This is the profile on which a
+# stability-path retransmission used to hold an in-flight hop across a
+# synchronous cut that erased it. 40 seeds must stay at zero violations
+# with a clean exit, serially and on 8 shard workers, byte-identically.
+echo "== combined-profile fuzz gate (serial + sharded worker-identity) =="
+COMBINED=(--seeds 40 --start 20000 --groups 4 --churn 1 --stability 1
+          --partitions 1 --snapshot-join 1)
+cb1="$(mktemp)"; cb8="$(mktemp)"
+"$BUILD_DIR/rgb_fuzz" "${COMBINED[@]}" --quiet > "$cb1"
+"$BUILD_DIR/rgb_fuzz" "${COMBINED[@]}" --shard-workers 8 --quiet > "$cb8"
+if ! cmp -s "$cb1" "$cb8"; then
+  echo "FAIL: combined-profile fuzz output differs between serial and 8 workers" >&2
+  exit 1
+fi
+rm -f "$cb1" "$cb8"
 
 echo "== sharded bench determinism gate =="
 "$BUILD_DIR/rgb_exp" bench --smoke --deterministic --shards 1 --json "$sw1" \
@@ -324,5 +341,24 @@ TSAN_OPTIONS="halt_on_error=1" \
     --deterministic --shards 8 --json "$tsan_bench" 2> /dev/null
 test -s "$tsan_bench"
 rm -f "$tsan_bench"
+
+# AddressSanitizer + UndefinedBehaviorSanitizer gate over the fault
+# profiles that reconfigure rings from inside handlers (stability cuts,
+# partitions, churn): a release build can run through a use-after-free
+# harmlessly, so "0 violations" here also means no memory error, no UB and
+# no leak. halt_on_error and -fno-sanitize-recover turn any report into a
+# nonzero exit; LeakSanitizer stays on.
+echo "== asan+ubsan fuzz gate =="
+ASAN_DIR="${BUILD_DIR}-asan"
+cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -O1 -g" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
+cmake --build "$ASAN_DIR" -j --target rgb_fuzz > /dev/null
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "$ASAN_DIR/rgb_fuzz" "${COMBINED[@]}" --quiet
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "$ASAN_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 15 --start 1 --quiet
 
 echo "OK"

@@ -1,7 +1,6 @@
 #include "check/driver.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -156,40 +155,40 @@ void ScheduleDriver::apply(const FaultEvent& event) {
       // fields (seeded from them, not from the run seed), so a replayed
       // schedule line expands byte-identically.
       if (topology_.max_guid == 0 || topology_.aps.empty()) break;
-      const auto rng = std::make_shared<common::RngStream>(
-          common::RngStream{event.at + event.duration}.fork("churn"));
-      const sim::Time end = sim_.now() + event.duration;
-      const double rate = event.probability;
-      const auto step = std::make_shared<std::function<void()>>();
-      *step = [this, rng, end, rate, step]() {
-        for (std::uint64_t g = 1; g <= topology_.max_guid; ++g) {
-          if (rng->uniform(0.0, 1.0) >= rate) continue;
-          const common::Guid mh{g};
-          if (truth_.is_live(mh)) {
-            if (network_.is_crashed(truth_.ap_of(mh))) continue;
-            if (rng->next_below(2) == 0) {
-              service_.leave(mh);
-              truth_.leave(mh);
-            } else {
-              service_.fail(mh);
-              truth_.fail(mh);
-            }
-          } else {
-            const common::NodeId ap =
-                topology_.aps[rng->next_below(topology_.aps.size())];
-            if (network_.is_crashed(ap)) continue;
-            service_.join(mh, ap);
-            truth_.join(mh, ap);
-          }
-          ++events_applied_;
-        }
-        if (sim_.now() + kChurnTick <= end) {
-          sim_.schedule_after(kChurnTick, [step] { (*step)(); });
-        }
-      };
-      (*step)();
+      churn_windows_.push_back(ChurnWindow{
+          common::RngStream{event.at + event.duration}.fork("churn"),
+          sim_.now() + event.duration, event.probability});
+      churn_tick(churn_windows_.size() - 1);
       break;
     }
+  }
+}
+
+void ScheduleDriver::churn_tick(std::size_t window) {
+  ChurnWindow& churn = churn_windows_[window];
+  for (std::uint64_t g = 1; g <= topology_.max_guid; ++g) {
+    if (churn.rng.uniform(0.0, 1.0) >= churn.rate) continue;
+    const common::Guid mh{g};
+    if (truth_.is_live(mh)) {
+      if (network_.is_crashed(truth_.ap_of(mh))) continue;
+      if (churn.rng.next_below(2) == 0) {
+        service_.leave(mh);
+        truth_.leave(mh);
+      } else {
+        service_.fail(mh);
+        truth_.fail(mh);
+      }
+    } else {
+      const common::NodeId ap =
+          topology_.aps[churn.rng.next_below(topology_.aps.size())];
+      if (network_.is_crashed(ap)) continue;
+      service_.join(mh, ap);
+      truth_.join(mh, ap);
+    }
+    ++events_applied_;
+  }
+  if (sim_.now() + kChurnTick <= churn.end) {
+    sim_.schedule_after(kChurnTick, [this, window] { churn_tick(window); });
   }
 }
 

@@ -26,6 +26,7 @@
 #include "check/invariants.hpp"
 #include "check/model.hpp"
 #include "check/schedule.hpp"
+#include "common/rng.hpp"
 #include "exp/observer.hpp"
 #include "net/network.hpp"
 #include "proto/membership_service.hpp"
@@ -68,7 +69,18 @@ class ScheduleDriver {
   [[nodiscard]] sim::Time horizon() const { return horizon_; }
 
  private:
+  /// One sustained-churn window (FaultAction::kChurn), owned here so the
+  /// tick events it schedules hold only an index, never the state itself.
+  struct ChurnWindow {
+    common::RngStream rng;
+    sim::Time end = 0;
+    double rate = 0.0;
+  };
+
   void apply(const FaultEvent& event);
+  /// One kChurnTick of churn window `window`; re-arms itself until the
+  /// window ends.
+  void churn_tick(std::size_t window);
 
   sim::Simulator& sim_;
   net::Network& network_;
@@ -79,6 +91,7 @@ class ScheduleDriver {
   /// Probabilities of currently-active drop bursts (overlap-safe: the
   /// strongest active burst wins; ending one restores the next-strongest).
   std::multiset<double> active_burst_probs_;
+  std::vector<ChurnWindow> churn_windows_;
   std::uint64_t events_applied_ = 0;
   sim::Time horizon_ = 0;
 };

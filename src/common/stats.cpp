@@ -92,12 +92,16 @@ double Histogram::quantile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const auto target = static_cast<std::uint64_t>(
       std::ceil(q * static_cast<double>(total_)));
+  // A bucket's upper edge bounds the exact quantile from above but may
+  // overshoot the largest sample; the exact max is the tighter bound then.
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
-    if (seen >= target && buckets_[i] > 0) return bucket_upper(i);
+    if (seen >= target && buckets_[i] > 0) {
+      return std::min(bucket_upper(i), max_);
+    }
   }
-  return bucket_upper(buckets_.size() - 1);
+  return std::min(bucket_upper(buckets_.size() - 1), max_);
 }
 
 double Histogram::mean() const {

@@ -52,6 +52,8 @@ class Histogram {
   void merge(const Histogram& other);
 
   [[nodiscard]] std::uint64_t count() const { return total_; }
+  /// Upper edge of the bucket holding the q-quantile, clamped to max():
+  /// never below the exact quantile, never above the largest sample.
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double p50() const { return quantile(0.50); }
   [[nodiscard]] double p90() const { return quantile(0.90); }

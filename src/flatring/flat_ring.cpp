@@ -73,8 +73,7 @@ void RingNode::on_token(RingTokenMsg token) {
 }
 
 void RingNode::forward(RingTokenMsg token) {
-  const auto size_bytes = wire_size(token);
-  send(next_, kRingToken, std::move(token), size_bytes);
+  send(next_, kRingToken, std::move(token));
 }
 
 void RingNode::deliver(const net::Envelope& env) {

@@ -57,16 +57,6 @@ struct WakeMsg {
   NodeId origin;
 };
 
-/// Estimated serialized size: a full MembershipOp plus its remaining-hops
-/// counter per entry (the old 32-byte figure undercut even a typical
-/// encoded op — the wire codec uncovered it; the codec meters the exact
-/// encoding, this estimate is the send-site cost model it is banded to).
-[[nodiscard]] inline std::uint32_t wire_size(const RingTokenMsg& msg) {
-  return core::wire::kBaseBytes +
-         (core::wire::kOpBytes + 8) *
-             static_cast<std::uint32_t>(msg.entries.size());
-}
-
 struct FlatRingConfig {
   int nodes = 25;
 };

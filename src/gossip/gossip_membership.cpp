@@ -80,8 +80,7 @@ void GossipNode::on_tick() {
   const std::uint64_t ping_id = (id().value() << 20) | ++ping_counter_;
   pings_in_flight_.emplace(ping_id, target);
   PingMsg ping{ping_id, select_updates()};
-  const auto bytes = wire_size(ping);
-  send(target, kPing, std::move(ping), bytes);
+  send(target, kPing, std::move(ping));
 }
 
 void GossipNode::suspect(NodeId peer) {
@@ -120,8 +119,7 @@ void GossipNode::deliver(const net::Envelope& env) {
       absorb(ping.updates);
       strikes_.erase(env.src);
       AckMsg ack{ping.ping_id, select_updates()};
-      const auto bytes = wire_size(ack);
-      send(env.src, kAck, std::move(ack), bytes);
+      send(env.src, kAck, std::move(ack));
       break;
     }
     case kAck: {

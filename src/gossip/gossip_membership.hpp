@@ -70,21 +70,6 @@ struct AckMsg {
   std::vector<Update> updates;
 };
 
-/// Estimated serialized size of a ping/ack carrying piggybacked infection
-/// entries (op + budget each); the wire codec meters the exact encoding
-/// and bands the send sites to this estimate.
-[[nodiscard]] inline std::uint32_t wire_size(const PingMsg& msg) {
-  return core::wire::kBaseBytes +
-         (core::wire::kOpBytes + 8) *
-             static_cast<std::uint32_t>(msg.updates.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const AckMsg& msg) {
-  return core::wire::kBaseBytes +
-         (core::wire::kOpBytes + 8) *
-             static_cast<std::uint32_t>(msg.updates.size());
-}
-
 class GossipNode : public proto::Process {
  public:
   GossipNode(NodeId id, net::Network& network, const GossipConfig& config,

@@ -90,8 +90,10 @@ struct Envelope {
   NodeId src;
   NodeId dst;
   MessageKind kind = 0;
-  /// Approximate wire size; used only by byte counters, not by latency.
-  std::uint32_t size_bytes = 64;
+  /// Wire size in bytes; used only by byte counters, not by latency. The
+  /// network's Sizer fills it in on send (the exact encoded frame, once
+  /// the wire codec is attached).
+  std::uint32_t size_bytes = 0;
   Payload payload;
   /// Causal-span metadata stamped by the network's TraceHooks: the op
   /// trace this message carries work for and the send span the delivery

@@ -159,14 +159,10 @@ void Network::send(Envelope env) {
 
   ShardState& st = stripe();
 
-  // Encoded-size hook: re-price the envelope before anything else — byte
-  // counters, taps (including the src-crash drop tap below) and delivery
-  // must all see the same (real) size.
-  if (sizer_) {
-    if (const std::uint32_t encoded = sizer_(env); encoded != 0) {
-      env.size_bytes = encoded;
-    }
-  }
+  // Size hook: price the envelope before anything else — byte counters,
+  // taps (including the src-crash drop tap below) and delivery must all
+  // see the same size.
+  if (sizer_) env.size_bytes = sizer_(env);
 
   // A crashed source produces nothing at all — the attempt never enters the
   // network, so it is metered apart from `sent` and the in-network drops.

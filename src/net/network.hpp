@@ -198,12 +198,13 @@ class Network {
   using Tap = std::function<void(const Envelope&, bool delivered)>;
   void set_tap(Tap tap) { tap_ = std::move(tap); }
 
-  /// Optional encoded-size hook: when set, every send consults it and a
-  /// non-zero return replaces the envelope's size estimate for byte
-  /// metering (and for downstream taps/delivery). Returning 0 keeps the
-  /// caller's estimate. The wire subsystem installs its codec-backed sizer
-  /// here (wire::attach_encoded_metering) so `bytes_per_kind` counts real
-  /// encoded bytes; the network itself stays protocol-agnostic.
+  /// Size hook: when set, every send stores its return value in
+  /// `env.size_bytes` before byte metering, taps and delivery see the
+  /// envelope. The wire subsystem installs its codec-backed sizer here
+  /// (wire::attach_encoded_metering), so `bytes_per_kind` counts exact
+  /// encoded bytes while the network itself stays protocol-agnostic.
+  /// Without a sizer the network meters the size the sender put in the
+  /// envelope.
   using Sizer = std::function<std::uint32_t(const Envelope&)>;
   void set_sizer(Sizer sizer) { sizer_ = std::move(sizer); }
   [[nodiscard]] bool has_sizer() const { return static_cast<bool>(sizer_); }

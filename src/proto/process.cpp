@@ -11,9 +11,8 @@ Process::Process(NodeId id, net::Network& network)
 
 Process::~Process() { network_.detach(id_); }
 
-void Process::send(NodeId dst, net::MessageKind kind, net::Payload payload,
-                   std::uint32_t size_bytes) {
-  network_.send(net::Envelope{id_, dst, kind, size_bytes, std::move(payload)});
+void Process::send(NodeId dst, net::MessageKind kind, net::Payload payload) {
+  network_.send(net::Envelope{id_, dst, kind, 0, std::move(payload)});
 }
 
 sim::EventId Process::set_timer(sim::Duration delay,

@@ -33,12 +33,11 @@ class Process : public net::Endpoint {
   [[nodiscard]] bool crashed() const { return network_.is_crashed(id_); }
 
  protected:
-  /// Sends `payload` to `dst`, metered under `kind`. Message structs
-  /// convert to `net::Payload` implicitly; fan-out senders build the
-  /// Payload once and pass it to every send so the value is shared, not
-  /// re-copied per destination.
-  void send(NodeId dst, net::MessageKind kind, net::Payload payload,
-            std::uint32_t size_bytes = 64);
+  /// Sends `payload` to `dst`, metered under `kind`; the network's Sizer
+  /// prices the envelope. Message structs convert to `net::Payload`
+  /// implicitly; fan-out senders build the Payload once and pass it to
+  /// every send so the value is shared, not re-copied per destination.
+  void send(NodeId dst, net::MessageKind kind, net::Payload payload);
 
   /// Schedules `fn` after `delay`; the callback is dropped if this node is
   /// crashed when the timer fires. Returns a cancellable id.

@@ -35,7 +35,7 @@ RgbSystem::RgbSystem(net::Network& network, RgbConfig config,
       first_node_id_(first_node_id) {
   assert(layout_.ring_tiers >= 1);
   assert(layout_.ring_size >= 1);
-  if (config_.wire_metering) rgb::wire::attach_encoded_metering(network_);
+  rgb::wire::attach_encoded_metering(network_);
   // One registration pass wires the enumerable export; exporters iterate
   // the registry instead of hand-listing RgbMetrics/Network fields.
   obs::register_rgb_metrics(obs_.registry, metrics_);

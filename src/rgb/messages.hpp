@@ -345,131 +345,4 @@ struct QueryReplyMsg {
   std::vector<MemberRecord> members;
 };
 
-// --- wire-size model ----------------------------------------------------------
-//
-// The simulated network prices messages by an estimated serialized size;
-// every payload-size computation goes through these helpers so the cost
-// model lives in exactly one place (it used to be duplicated magic numbers
-// at each send site).
-//
-// Since the wire codec (src/wire/) exists, these are *estimates only*: with
-// RgbConfig::wire_metering on (the default) the network meters the exact
-// encoded size, and wire::estimate_consistent debug-asserts that every
-// estimate stays an upper bound of the encoded bytes within a bounded
-// factor. The per-unit constants below are upper bounds of the varint
-// encoding for realistic identifier magnitudes (ids below 2^32, op
-// uid/seq of any value); tests/wire/metering_test.cpp holds them to it.
-
-namespace wire {
-/// Fixed per-message overhead: frame, ids, flags.
-inline constexpr std::uint32_t kBaseBytes = 64;
-/// One TableEntry: group + guid + AP + status + seq + claim epoch.
-inline constexpr std::uint32_t kTableEntryBytes = 40;
-/// One MemberRecord: guid + AP + status.
-inline constexpr std::uint32_t kMemberRecordBytes = 16;
-/// One NodeId (roster elements).
-inline constexpr std::uint32_t kNodeIdBytes = 8;
-/// One MembershipOp: kind + uid + seq + claim epoch + group + member +
-/// five ids.
-inline constexpr std::uint32_t kOpBytes = 86;
-/// One notify/round id.
-inline constexpr std::uint32_t kIdBytes = 10;
-/// One AttachClaim: group + guid + claim epoch.
-inline constexpr std::uint32_t kClaimBytes = 22;
-/// One packed per-group digest: gid + hash + count.
-inline constexpr std::uint32_t kGroupDigestBytes = 24;
-/// One GroupId (sync scope elements).
-inline constexpr std::uint32_t kGroupIdBytes = 10;
-}  // namespace wire
-
-/// A bare flooded MembershipOp (the tree baseline's proposal): kOpBytes
-/// bounds the framed op on its own.
-[[nodiscard]] inline std::uint32_t wire_size(const MembershipOp&) {
-  return wire::kOpBytes;
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const TokenMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kOpBytes * static_cast<std::uint32_t>(msg.token.ops.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const NotifyMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kOpBytes * static_cast<std::uint32_t>(msg.ops.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const HolderAckMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kIdBytes * static_cast<std::uint32_t>(msg.notify_ids.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const RepairMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kNodeIdBytes * static_cast<std::uint32_t>(msg.faulty.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const AlertMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kNodeIdBytes * static_cast<std::uint32_t>(msg.suspects.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const AlertAckMsg&) {
-  return wire::kBaseBytes;
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const MergeOfferMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kNodeIdBytes * static_cast<std::uint32_t>(msg.roster.size()) +
-         wire::kTableEntryBytes * static_cast<std::uint32_t>(msg.entries.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const MergeAcceptMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kNodeIdBytes * static_cast<std::uint32_t>(msg.roster.size()) +
-         wire::kTableEntryBytes * static_cast<std::uint32_t>(msg.entries.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const RingReformMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kNodeIdBytes * static_cast<std::uint32_t>(msg.roster.size()) +
-         wire::kTableEntryBytes * static_cast<std::uint32_t>(msg.entries.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const ViewSyncMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kTableEntryBytes * static_cast<std::uint32_t>(msg.entries.size()) +
-         wire::kNodeIdBytes * static_cast<std::uint32_t>(msg.roster.size()) +
-         wire::kGroupDigestBytes *
-             static_cast<std::uint32_t>(msg.group_digests.size()) +
-         wire::kGroupIdBytes * static_cast<std::uint32_t>(msg.sync_gids.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const SnapshotRequestMsg&) {
-  return wire::kBaseBytes;
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const ReconcileMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kClaimBytes * static_cast<std::uint32_t>(msg.claims.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const ReconcileAckMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kTableEntryBytes *
-             static_cast<std::uint32_t>(msg.superseding.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const SnapshotAckMsg&) {
-  return wire::kBaseBytes;
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const SnapshotMsg& msg) {
-  return wire::kBaseBytes + static_cast<std::uint32_t>(msg.blob.size());
-}
-
-[[nodiscard]] inline std::uint32_t wire_size(const QueryReplyMsg& msg) {
-  return wire::kBaseBytes +
-         wire::kMemberRecordBytes * static_cast<std::uint32_t>(msg.members.size());
-}
-
 }  // namespace rgb::core

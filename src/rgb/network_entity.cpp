@@ -243,8 +243,7 @@ void NetworkEntity::enqueue_local_ops(std::vector<MembershipOp> ops) {
   metrics_.ops_aggregated.increment(dir_.ops_collapsed() - collapsed_before);
   for (const Contributor& orphan : dir_.take_orphaned_acks()) {
     HolderAckMsg ack{{orphan.notify_id}};
-    const auto bytes = wire_size(ack);
-    send(orphan.ne, kind::kHolderAck, std::move(ack), bytes);
+    send(orphan.ne, kind::kHolderAck, std::move(ack));
     metrics_.holder_acks.increment();
   }
   // One activity kick for the whole batch: at a leader with a free token
@@ -261,8 +260,7 @@ void NetworkEntity::enqueue_op(MembershipOp op, Contributor contributor) {
   // Ops cancelled by aggregation still owe their contributors an ack.
   for (const Contributor& orphan : dir_.take_orphaned_acks()) {
     HolderAckMsg ack{{orphan.notify_id}};
-    const auto bytes = wire_size(ack);
-    send(orphan.ne, kind::kHolderAck, std::move(ack), bytes);
+    send(orphan.ne, kind::kHolderAck, std::move(ack));
     metrics_.holder_acks.increment();
   }
   on_mq_activity();
@@ -606,8 +604,7 @@ void NetworkEntity::complete_round(const Token& token) {
   }
   for (auto& [ne, ids] : acks) {
     HolderAckMsg ack{std::move(ids)};
-    const auto bytes = wire_size(ack);
-    send(ne, kind::kHolderAck, std::move(ack), bytes);
+    send(ne, kind::kHolderAck, std::move(ack));
     metrics_.holder_acks.increment();
   }
   round_contributors_.clear();
@@ -677,8 +674,7 @@ void NetworkEntity::send_token_to(NodeId target, Token token) {
       token.ops.empty() ? kind::kProbe : kind::kToken;
   const std::uint64_t round_id = token.round_id;
   TokenMsg msg{token};
-  const auto bytes = wire_size(msg);
-  send(target, kind, std::move(msg), bytes);
+  send(target, kind, std::move(msg));
   InflightHop hop;
   hop.token = std::move(token);
   hop.target = target;
@@ -706,8 +702,7 @@ void NetworkEntity::on_token_retx_timeout(std::uint64_t round_id) {
     const net::MessageKind kind =
         hop.token.ops.empty() ? kind::kProbe : kind::kToken;
     TokenMsg msg{hop.token};
-    const auto bytes = wire_size(msg);
-    send(hop.target, kind, std::move(msg), bytes);
+    send(hop.target, kind, std::move(msg));
     hop.timer = set_timer(config_.retx_timeout, [this, round_id]() {
       on_token_retx_timeout(round_id);
     });
@@ -719,14 +714,22 @@ void NetworkEntity::on_token_retx_timeout(std::uint64_t round_id) {
     // peer, or this observer's own stability-timeout fallback — removes it
     // from the roster, and the next timeout falls through to the repair
     // and reroute below. Liveness stays bounded by stability_timeout.
-    report_suspect(hop.target);
+    const NodeId target = hop.target;
+    report_suspect(target);
+    // report_suspect can complete a cut synchronously, and declare_cut
+    // erases every hop to a cut node (re-routing its token under a fresh
+    // hop with its own timer), so `hop` may dangle here: look it up again.
+    const auto again = inflight_hops_.find(round_id);
+    if (again == inflight_hops_.end() || again->second.target != target) {
+      return;
+    }
+    InflightHop& live = again->second;
     metrics_.token_retransmits.increment();
     const net::MessageKind kind =
-        hop.token.ops.empty() ? kind::kProbe : kind::kToken;
-    TokenMsg msg{hop.token};
-    const auto bytes = wire_size(msg);
-    send(hop.target, kind, std::move(msg), bytes);
-    hop.timer = set_timer(config_.retx_timeout, [this, round_id]() {
+        live.token.ops.empty() ? kind::kProbe : kind::kToken;
+    TokenMsg msg{live.token};
+    send(target, kind, std::move(msg));
+    live.timer = set_timer(config_.retx_timeout, [this, round_id]() {
       on_token_retx_timeout(round_id);
     });
     return;
@@ -816,11 +819,10 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
   // round — essential when a faulty node WAS the leader. One RepairMsg
   // carries the whole cut: a correlated outage costs one notice, not N.
   RepairMsg repair{id(), cut};
-  const auto repair_bytes = wire_size(repair);
   const net::Payload repair_notice{std::move(repair)};
   for (const NodeId peer : roster_) {
     if (peer == id()) continue;
-    send(peer, kind::kRepair, repair_notice, repair_bytes);
+    send(peer, kind::kRepair, repair_notice);
   }
 
   // Disseminate the failures as ONE batch: NE-Failure per cut node plus
@@ -1012,8 +1014,7 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
                              config_.snapshot_join
                                  ? std::vector<TableEntry>{}
                                  : dir_.export_all()};
-        const auto bytes = wire_size(reform);
-        send(op.ne, kind::kRingReform, std::move(reform), bytes);
+        send(op.ne, kind::kRingReform, std::move(reform));
         metrics_.ne_joins.increment();
       }
       return;
@@ -1100,8 +1101,7 @@ void NetworkEntity::send_notify(NodeId dest, std::vector<MembershipOp> ops,
   const net::MessageKind kind =
       downward ? kind::kNotifyChild : kind::kNotifyParent;
   NotifyMsg msg{ops, nid, downward};
-  const auto bytes = wire_size(msg);
-  send(dest, kind, std::move(msg), bytes);
+  send(dest, kind, std::move(msg));
   metrics_.notifications_sent.increment();
   PendingNotify pending;
   pending.dest = dest;
@@ -1121,8 +1121,7 @@ void NetworkEntity::on_notify_retx_timeout(std::uint64_t notify_id) {
     const net::MessageKind kind =
         pending.downward ? kind::kNotifyChild : kind::kNotifyParent;
     NotifyMsg msg{pending.ops, notify_id, pending.downward};
-    const auto bytes = wire_size(msg);
-    send(pending.dest, kind, std::move(msg), bytes);
+    send(pending.dest, kind, std::move(msg));
     pending.timer = set_timer(config_.notify_timeout, [this, notify_id]() {
       on_notify_retx_timeout(notify_id);
     });
@@ -1155,8 +1154,7 @@ void NetworkEntity::handle_notify(const NotifyMsg& msg, NodeId from) {
   }
   if (all_known) {
     HolderAckMsg ack{{msg.notify_id}};
-    const auto bytes = wire_size(ack);
-    send(from, kind::kHolderAck, std::move(ack), bytes);
+    send(from, kind::kHolderAck, std::move(ack));
     metrics_.holder_acks.increment();
     return;
   }
@@ -1380,11 +1378,10 @@ void NetworkEntity::run_reconcile_round() {
   pending.dest = target;
   pending.claims = local_claims();
   ReconcileMsg msg{rid, pending.claims};
-  const auto bytes = wire_size(msg);
   RGB_LOG(kInfo, "reconcile")
       << now() << " " << id() << " asserts " << msg.claims.size()
       << " claim(s) to " << target;
-  send(target, kind::kReconcile, std::move(msg), bytes);
+  send(target, kind::kReconcile, std::move(msg));
   pending.timer = set_timer(config_.notify_timeout, [this, rid]() {
     on_reconcile_retx_timeout(rid);
   });
@@ -1398,8 +1395,7 @@ void NetworkEntity::on_reconcile_retx_timeout(std::uint64_t reconcile_id) {
   if (++pending.retx <= config_.max_notify_retx) {
     metrics_.reconcile_retransmits.increment();
     ReconcileMsg msg{reconcile_id, pending.claims};
-    const auto bytes = wire_size(msg);
-    send(pending.dest, kind::kReconcile, std::move(msg), bytes);
+    send(pending.dest, kind::kReconcile, std::move(msg));
     pending.timer = set_timer(config_.notify_timeout, [this, reconcile_id]() {
       on_reconcile_retx_timeout(reconcile_id);
     });
@@ -1439,8 +1435,7 @@ void NetworkEntity::handle_reconcile(const ReconcileMsg& msg, NodeId from) {
     }
   }
   metrics_.reconcile_replies.increment();
-  const auto bytes = wire_size(ack);
-  send(from, kind::kReconcileAck, std::move(ack), bytes);
+  send(from, kind::kReconcileAck, std::move(ack));
 }
 
 void NetworkEntity::handle_reconcile_ack(const ReconcileAckMsg& msg) {
@@ -1485,25 +1480,23 @@ void NetworkEntity::anti_entropy_tick() {
     ring_sync.entry_count = static_cast<std::uint32_t>(digest.count);
     ring_sync.roster = roster_;
     ring_sync.leader = leader_;
-    const auto ring_bytes = wire_size(ring_sync);
     // One shared payload for the whole fan-out: k sends, one allocation.
     const net::Payload ring_payload{std::move(ring_sync)};
     for (const NodeId peer : roster_) {
       if (peer == id()) continue;
-      send(peer, kind::kViewSync, ring_payload, ring_bytes);
+      send(peer, kind::kViewSync, ring_payload);
     }
     if (dir_.empty()) return;  // cross edges carry only view state
     ViewSyncMsg cross_sync;
     cross_sync.phase = ViewSyncMsg::Phase::kSummary;
     cross_sync.digest = digest.hash;
     cross_sync.entry_count = static_cast<std::uint32_t>(digest.count);
-    const auto cross_bytes = wire_size(cross_sync);
     const net::Payload cross_payload{std::move(cross_sync)};
     if (parent_.valid() && tier_ - 1 >= config_.retain_tier) {
-      send(parent_, kind::kViewSync, cross_payload, cross_bytes);
+      send(parent_, kind::kViewSync, cross_payload);
     }
     if (child_.valid() && config_.disseminate_down) {
-      send(child_, kind::kViewSync, cross_payload, cross_bytes);
+      send(child_, kind::kViewSync, cross_payload);
     }
     return;
   }
@@ -1517,24 +1510,22 @@ void NetworkEntity::anti_entropy_tick() {
   ring_sync.reply_requested = true;
   ring_sync.roster = roster_;
   ring_sync.leader = leader_;
-  const auto ring_bytes = wire_size(ring_sync);
   const net::Payload ring_payload{std::move(ring_sync)};
   for (const NodeId peer : roster_) {
     if (peer == id()) continue;
-    send(peer, kind::kViewSync, ring_payload, ring_bytes);
+    send(peer, kind::kViewSync, ring_payload);
   }
   if (!have_entries) return;  // cross-ring edges carry only view state
   ViewSyncMsg sync;
   sync.phase = ViewSyncMsg::Phase::kFull;
   sync.entries = std::move(entries);
   sync.reply_requested = true;
-  const auto cross_bytes = wire_size(sync);
   const net::Payload cross_payload{std::move(sync)};
   if (parent_.valid() && tier_ - 1 >= config_.retain_tier) {
-    send(parent_, kind::kViewSync, cross_payload, cross_bytes);
+    send(parent_, kind::kViewSync, cross_payload);
   }
   if (child_.valid() && config_.disseminate_down) {
-    send(child_, kind::kViewSync, cross_payload, cross_bytes);
+    send(child_, kind::kViewSync, cross_payload);
   }
 }
 
@@ -1581,8 +1572,7 @@ void NetworkEntity::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
     reply.entry_count = static_cast<std::uint32_t>(mine.count);
     reply.group_digests = dir_.packed_digests();
     metrics_.digest_groups_packed.increment(reply.group_digests.size());
-    const auto reply_bytes = wire_size(reply);
-    send(from, kind::kViewSync, std::move(reply), reply_bytes);
+    send(from, kind::kViewSync, std::move(reply));
     return;
   }
 
@@ -1615,8 +1605,7 @@ void NetworkEntity::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
     reply.sync_gids = gids;
     metrics_.group_fulls_sent.increment(gids.empty() ? dir_.group_count()
                                                      : gids.size());
-    const auto reply_bytes = wire_size(reply);
-    send(from, kind::kViewSync, std::move(reply), reply_bytes);
+    send(from, kind::kViewSync, std::move(reply));
     return;
   }
 
@@ -1644,8 +1633,7 @@ void NetworkEntity::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
   reply.phase = ViewSyncMsg::Phase::kDiff;
   reply.entries = std::move(diff);
   reply.sync_gids = msg.sync_gids;
-  const auto reply_bytes = wire_size(reply);
-  send(from, kind::kViewSync, std::move(reply), reply_bytes);
+  send(from, kind::kViewSync, std::move(reply));
 }
 
 void NetworkEntity::attempt_merge() {
@@ -1660,8 +1648,7 @@ void NetworkEntity::attempt_merge() {
   const NodeId target = candidates[merge_probe_cursor_ % candidates.size()];
   ++merge_probe_cursor_;
   MergeOfferMsg offer{roster_, dir_.export_all()};
-  const auto bytes = wire_size(offer);
-  send(target, kind::kMergeOffer, std::move(offer), bytes);
+  send(target, kind::kMergeOffer, std::move(offer));
 }
 
 void NetworkEntity::merge_fragment(const std::vector<NodeId>& their_roster,
@@ -1733,17 +1720,15 @@ void NetworkEntity::handle_merge_offer(const MergeOfferMsg& msg,
       // the healthy-fragment case too: merge_fragment unions rosters and
       // elects deterministically, so it merely duplicates the leader-level
       // merge the relay triggers.
-      send(leader_, kind::kMergeOffer, msg, wire_size(msg));
+      send(leader_, kind::kMergeOffer, msg);
       MergeAcceptMsg accept{roster_, dir_.export_all()};
-      const auto bytes = wire_size(accept);
-      send(from, kind::kMergeAccept, std::move(accept), bytes);
+      send(from, kind::kMergeAccept, std::move(accept));
     } else {
       // Stale state: the node we believe leads us is the one telling us we
       // are not in its ring (e.g. we just recovered from a crash). Offer
       // ourselves back as a singleton fragment.
       MergeAcceptMsg accept{{id()}, dir_.export_all()};
-      const auto bytes = wire_size(accept);
-      send(from, kind::kMergeAccept, std::move(accept), bytes);
+      send(from, kind::kMergeAccept, std::move(accept));
     }
     return;
   }
@@ -1775,11 +1760,10 @@ void NetworkEntity::handle_merge_accept(const MergeAcceptMsg& msg,
 void NetworkEntity::broadcast_ring_reform(const std::vector<NodeId>& roster,
                                           NodeId leader) {
   RingReformMsg msg{roster, leader, dir_.export_all()};
-  const auto bytes = wire_size(msg);
   const net::Payload reform{std::move(msg)};
   for (const NodeId n : roster) {
     if (n == id()) continue;
-    send(n, kind::kRingReform, reform, bytes);
+    send(n, kind::kRingReform, reform);
   }
 }
 
@@ -1815,7 +1799,6 @@ const net::Payload& NetworkEntity::snapshot_payload() {
     SnapshotMsg msg = make_snapshot_msg();
     snapshot_payload_digest_ = msg.digest;
     snapshot_payload_count_ = msg.entry_count;
-    snapshot_payload_bytes_ = wire_size(msg);
     snapshot_payload_cache_ = net::Payload{std::move(msg)};
     snapshot_payload_valid_ = true;
   }
@@ -1833,11 +1816,10 @@ void NetworkEntity::flush_snapshot() {
   // One encoded blob, shared by every push of this flush (and by any
   // retransmission until the table moves again).
   const net::Payload& payload = snapshot_payload();
-  const auto bytes = snapshot_payload_bytes_;
   const std::uint64_t digest = snapshot_payload_digest_;
   const std::uint64_t entry_count = snapshot_payload_count_;
   const auto push = [&](NodeId dest) {
-    send(dest, kind::kSnapshot, payload, bytes);
+    send(dest, kind::kSnapshot, payload);
     metrics_.snapshots_sent.increment();
     // Flush-edge reliability: remember the push until its kSnapshotAck.
     PendingSnapshotPush& pending = pending_snapshot_pushes_[dest];
@@ -1879,7 +1861,7 @@ void NetworkEntity::on_snapshot_push_timeout(NodeId dest) {
   const net::Payload& payload = snapshot_payload();
   pending.digest = snapshot_payload_digest_;
   pending.entry_count = snapshot_payload_count_;
-  send(dest, kind::kSnapshot, payload, snapshot_payload_bytes_);
+  send(dest, kind::kSnapshot, payload);
   metrics_.snapshots_sent.increment();
   pending.timer = set_timer(config_.notify_timeout, [this, dest]() {
     on_snapshot_push_timeout(dest);
@@ -1908,10 +1890,8 @@ void NetworkEntity::handle_snapshot_request(const SnapshotRequestMsg& msg,
                                             NodeId from) {
   const ViewDigest mine = dir_.combined_digest();
   if (mine.hash == msg.digest && mine.count == msg.entry_count) return;
-  // Sequenced: snapshot_payload() refreshes snapshot_payload_bytes_, so
-  // the two must not be read in one unordered argument list.
   const net::Payload& payload = snapshot_payload();
-  send(from, kind::kSnapshot, payload, snapshot_payload_bytes_);
+  send(from, kind::kSnapshot, payload);
   metrics_.snapshots_sent.increment();
 }
 
@@ -2000,9 +1980,8 @@ void NetworkEntity::request_ring_leave() {
     }
     const NodeId successor = elect_leader(rest);
     RingReformMsg msg{rest, successor, dir_.export_all()};
-    const auto bytes = wire_size(msg);
     const net::Payload reform{std::move(msg)};
-    for (const NodeId n : rest) send(n, kind::kRingReform, reform, bytes);
+    for (const NodeId n : rest) send(n, kind::kRingReform, reform);
     if (parent_.valid()) {
       send(parent_, kind::kChildRebind, ChildRebindMsg{successor});
     }
@@ -2094,8 +2073,7 @@ void NetworkEntity::handle_query(const QueryRequestMsg& msg, NodeId from) {
     members = dir_.merged_snapshot();
   }
   QueryReplyMsg reply{msg.query_id, std::move(members)};
-  const auto reply_bytes = wire_size(reply);
-  send(reply_to, kind::kQueryReply, std::move(reply), reply_bytes);
+  send(reply_to, kind::kQueryReply, std::move(reply));
 }
 
 // --------------------------------------------------------------------------
@@ -2133,15 +2111,14 @@ void NetworkEntity::raise_alert(NodeId suspect) {
   RGB_LOG(kDebug, "stability") << now() << " " << id() << " alerts on "
                                << suspect << " to " << aggregator;
   AlertMsg alert{id(), pa.alert_id, {suspect}, false};
-  const auto bytes = wire_size(alert);
   if (aggregator == id()) {
     observe_alert(suspect, id());
   } else if (aggregator.valid()) {
-    send(aggregator, kind::kAlert, alert, bytes);
+    send(aggregator, kind::kAlert, alert);
   }
   // Liveness counter-check: the suspect itself gets the alert too; a live
   // one answers kAlertAck and the accusation is withdrawn before any cut.
-  send(suspect, kind::kAlert, std::move(alert), bytes);
+  send(suspect, kind::kAlert, std::move(alert));
   const NodeId s = suspect;
   pa.ping_timer = set_timer(config_.retx_timeout,
                             [this, s]() { on_alert_ping_timeout(s); });
@@ -2167,8 +2144,7 @@ void NetworkEntity::on_alert_ping_timeout(NodeId suspect) {
   // loss burst that swallowed the first ping must not be enough to turn a
   // live node into a cut member.
   AlertMsg ping{id(), it->second.alert_id, {suspect}, false};
-  const auto bytes = wire_size(ping);
-  send(suspect, kind::kAlert, std::move(ping), bytes);
+  send(suspect, kind::kAlert, std::move(ping));
   it->second.ping_timer = set_timer(config_.retx_timeout, [this, suspect]() {
     on_alert_ping_timeout(suspect);
   });
@@ -2207,8 +2183,7 @@ void NetworkEntity::handle_alert(const AlertMsg& msg, NodeId from) {
   if (about_me) {
     // Counter-observation of liveness: we are evidently alive; the ack
     // makes the observer withdraw the accusation.
-    send(from, kind::kAlertAck, AlertAckMsg{id(), msg.alert_id},
-         wire_size(AlertAckMsg{}));
+    send(from, kind::kAlertAck, AlertAckMsg{id(), msg.alert_id});
   }
 }
 
@@ -2239,8 +2214,7 @@ void NetworkEntity::handle_alert_ack(const AlertAckMsg& msg, NodeId /*from*/) {
     stability_.retract(msg.responder, id());
   } else if (aggregator.valid()) {
     AlertMsg retraction{id(), alert_id, {msg.responder}, true};
-    const auto bytes = wire_size(retraction);
-    send(aggregator, kind::kAlert, std::move(retraction), bytes);
+    send(aggregator, kind::kAlert, std::move(retraction));
   }
 }
 
@@ -2296,8 +2270,7 @@ bool NetworkEntity::start_cut_verifications() {
                                  << " verifies suspect " << suspect
                                  << " before a deadline cut";
     AlertMsg ping{id(), pv.alert_id, {suspect}, false};
-    const auto bytes = wire_size(ping);
-    send(suspect, kind::kAlert, std::move(ping), bytes);
+    send(suspect, kind::kAlert, std::move(ping));
     const NodeId s = suspect;
     pv.ping_timer = set_timer(config_.retx_timeout,
                               [this, s]() { on_verify_ping_timeout(s); });
@@ -2326,8 +2299,7 @@ void NetworkEntity::on_verify_ping_timeout(NodeId suspect) {
   }
   --it->second.pings_left;
   AlertMsg ping{id(), it->second.alert_id, {suspect}, false};
-  const auto bytes = wire_size(ping);
-  send(suspect, kind::kAlert, std::move(ping), bytes);
+  send(suspect, kind::kAlert, std::move(ping));
   it->second.ping_timer = set_timer(config_.retx_timeout, [this, suspect]() {
     on_verify_ping_timeout(suspect);
   });
@@ -2412,8 +2384,7 @@ void NetworkEntity::sweep_silent_members() {
             PendingSilent{liveness.last_heard, now(), liveness.mh_node};
         if (liveness.mh_node.valid()) {
           AlertMsg probe{id(), 0, {}, false};
-          const auto bytes = wire_size(probe);
-          send(liveness.mh_node, kind::kAlert, std::move(probe), bytes);
+          send(liveness.mh_node, kind::kAlert, std::move(probe));
         }
         continue;
       }

@@ -420,7 +420,6 @@ class NetworkEntity : public proto::Process {
   net::Payload snapshot_payload_cache_;
   std::uint64_t snapshot_payload_digest_ = 0;
   std::uint64_t snapshot_payload_count_ = 0;
-  std::uint32_t snapshot_payload_bytes_ = 0;
   bool snapshot_payload_valid_ = false;
 
   // --- reconcile round state ---------------------------------------------------

@@ -177,13 +177,6 @@ struct RgbConfig {
   /// the measurement baseline and for the digest/full equivalence tests.
   bool digest_anti_entropy = true;
 
-  /// Encoded-byte metering: RgbSystem installs the wire-codec sizer on its
-  /// network (wire::attach_encoded_metering) so per-kind byte counters
-  /// price every registered message at its exact framed encoding. When
-  /// false the hand-written wire_size() estimates are metered instead —
-  /// the pre-wire cost model, kept for A/B comparison.
-  bool wire_metering = true;
-
   /// Snapshot bulk-join mode (kSnapshot state transfer): member-op
   /// dissemination towards child rings is replaced by debounced framed
   /// MemberTable snapshots — during a join surge the per-op

@@ -34,7 +34,7 @@ void TreeServer::forward(TreeServer* to, const MembershipOp& op) {
     to->propagate(op, id());
     return;
   }
-  send(to->id(), kTreeProposal, op, core::wire_size(op));
+  send(to->id(), kTreeProposal, op);
 }
 
 void TreeServer::deliver(const net::Envelope& env) {
@@ -45,9 +45,8 @@ void TreeServer::deliver(const net::Envelope& env) {
     case kTreeQuery: {
       const auto& req = env.payload.get<core::QueryRequestMsg>();
       core::QueryReplyMsg reply{req.query_id, members_.snapshot()};
-      const auto bytes = core::wire_size(reply);
       send(req.reply_to.valid() ? req.reply_to : env.src, kTreeQueryReply,
-           std::move(reply), bytes);
+           std::move(reply));
       break;
     }
     default:

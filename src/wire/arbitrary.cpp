@@ -281,65 +281,4 @@ net::Payload arbitrary_payload(net::MessageKind kind, common::RngStream& rng,
   return net::Payload{};  // unreached for registered kinds
 }
 
-std::uint32_t estimated_wire_size(net::MessageKind kind,
-                                  const net::Payload& payload) {
-  using core::wire_size;
-  switch (kind) {
-    case core::kind::kToken:
-    case core::kind::kProbe:
-      return wire_size(payload.get<core::TokenMsg>());
-    case core::kind::kNotifyParent:
-    case core::kind::kNotifyChild:
-      return wire_size(payload.get<core::NotifyMsg>());
-    case core::kind::kHolderAck:
-      return wire_size(payload.get<core::HolderAckMsg>());
-    case core::kind::kRepair:
-      return wire_size(payload.get<core::RepairMsg>());
-    case core::kind::kMergeOffer:
-      return wire_size(payload.get<core::MergeOfferMsg>());
-    case core::kind::kMergeAccept:
-      return wire_size(payload.get<core::MergeAcceptMsg>());
-    case core::kind::kRingReform:
-      return wire_size(payload.get<core::RingReformMsg>());
-    case core::kind::kViewSync:
-      return wire_size(payload.get<core::ViewSyncMsg>());
-    case core::kind::kSnapshotRequest:
-      return wire_size(payload.get<core::SnapshotRequestMsg>());
-    case core::kind::kSnapshot:
-      return wire_size(payload.get<core::SnapshotMsg>());
-    case core::kind::kSnapshotAck:
-      return wire_size(payload.get<core::SnapshotAckMsg>());
-    case core::kind::kReconcile:
-      return wire_size(payload.get<core::ReconcileMsg>());
-    case core::kind::kReconcileAck:
-      return wire_size(payload.get<core::ReconcileAckMsg>());
-    case core::kind::kAlert:
-      return wire_size(payload.get<core::AlertMsg>());
-    case core::kind::kAlertAck:
-      return wire_size(payload.get<core::AlertAckMsg>());
-    case core::kind::kQueryReply:
-      return wire_size(payload.get<core::QueryReplyMsg>());
-    default:
-      break;
-  }
-  // Baseline send-site estimates: the same wire_size() overloads the
-  // senders call, so the band test can never drift from the real sites.
-  if (kind == tree::kTreeProposal) {
-    return wire_size(payload.get<core::MembershipOp>());
-  }
-  if (kind == tree::kTreeQueryReply) {
-    return wire_size(payload.get<core::QueryReplyMsg>());
-  }
-  if (kind == flatring::kRingToken) {
-    return flatring::wire_size(payload.get<flatring::RingTokenMsg>());
-  }
-  if (kind == gossip::kPing) {
-    return gossip::wire_size(payload.get<gossip::PingMsg>());
-  }
-  if (kind == gossip::kAck) {
-    return gossip::wire_size(payload.get<gossip::AckMsg>());
-  }
-  return 0;  // send sites use the flat 64-byte default
-}
-
 }  // namespace rgb::wire

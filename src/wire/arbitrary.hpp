@@ -4,8 +4,8 @@
 // Two profiles:
 //   * realistic (default) — identifier magnitudes as the simulator produces
 //     them (node/guid values below 2^32, time-major seqs, bounded vector
-//     sizes). The wire_size() estimate band (wire::estimate_consistent) is
-//     guaranteed only for this profile, so the metering tests use it.
+//     sizes), so the round-trip property covers the short varints real
+//     traffic encodes.
 //   * unrestricted — full-range 64-bit values including the invalid-id
 //     sentinel and empty/large vectors; round-trip must still hold
 //     byte-identically, which is what the rgb_wire tool and the registry
@@ -28,11 +28,5 @@ struct ArbitraryOptions {
                                              common::RngStream& rng,
                                              const ArbitraryOptions& options =
                                                  ArbitraryOptions{});
-
-/// The wire_size() estimate of the payload registered under `kind` (the
-/// send-site cost model), for estimate-vs-encoded band checks. Returns 0
-/// for kinds whose send sites use the flat 64-byte default.
-[[nodiscard]] std::uint32_t estimated_wire_size(net::MessageKind kind,
-                                                const net::Payload& payload);
 
 }  // namespace rgb::wire

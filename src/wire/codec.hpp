@@ -260,7 +260,7 @@ class Reader {
   DecodeError error_{};
 };
 
-/// Exact encoded size of one varint (used by size estimates and tests).
+/// Exact encoded size of one varint (frame-header sizing and tests).
 [[nodiscard]] constexpr std::uint32_t varint_size(std::uint64_t v) {
   std::uint32_t n = 1;
   while (v >= 0x80) {

@@ -1,38 +1,19 @@
 // Encoded-byte metering: bridges the wire codec into net::Network so the
-// per-kind byte counters price messages by their *exact* framed encoding
-// instead of the hand-written wire_size() estimates.
-//
-// The estimates stay — they are the send-site cost model and the fallback
-// for payloads the registry cannot size (e.g. harness-internal probe
-// payloads sent under protocol kinds) — but once metering is attached,
-// every registered message is debug-asserted to satisfy
-// `estimate_consistent(estimate, encoded)`, which catches the class of
-// accounting bug PR3 shipped (roster bytes missing from ViewSync, token op
-// vectors priced at the 64-byte default).
+// per-kind byte counters price every message by its exact framed encoding.
+// The codec is the only size model: there is no second, hand-written
+// estimate to fall back on, so a send the registry cannot size is a
+// programming error.
 #pragma once
-
-#include <cstdint>
 
 #include "net/network.hpp"
 
 namespace rgb::wire {
 
-/// The band every wire_size() estimate is held to against the encoded
-/// frame: an estimate must never under-count (`encoded <= estimate` — the
-/// constants in rgb::core::wire are per-field varint upper bounds for
-/// realistic identifier magnitudes, ids below 2^32) and must not inflate
-/// past a bounded factor (the 64-byte per-message base dominates small
-/// control messages, hence the additive slack).
-[[nodiscard]] constexpr bool estimate_consistent(std::uint64_t estimate,
-                                                 std::uint64_t encoded) {
-  return encoded <= estimate && estimate <= 16 * encoded + 64;
-}
-
 /// Installs the global-registry encoded sizer on `network`: from then on
-/// every send of a registered kind is metered at its exact framed size
-/// (and debug-checked against the caller's estimate). Unregistered kinds
-/// and mismatched payload types keep the caller's estimate. Idempotent in
-/// effect — every caller installs the same global-registry hook.
+/// every send is metered at its exact framed size. A send under an
+/// unregistered kind, or with a payload that is not the kind's registered
+/// type, throws std::logic_error in every build type. Idempotent in effect
+/// — every caller installs the same global-registry hook.
 void attach_encoded_metering(net::Network& network);
 
 }  // namespace rgb::wire

@@ -65,7 +65,7 @@ std::uint32_t WireRegistry::encoded_size(net::MessageKind kind,
   try {
     return 1 + varint_size(kind) + codec->body_size(payload);
   } catch (const std::bad_any_cast&) {
-    return 0;  // payload is not the registered type; caller keeps estimate
+    return 0;  // payload is not the registered type
   }
 }
 

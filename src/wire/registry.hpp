@@ -51,9 +51,7 @@ class WireRegistry {
   [[nodiscard]] std::vector<net::MessageKind> kinds() const;
 
   /// Exact framed size of `payload` sent under `kind`; 0 when the kind is
-  /// unregistered or the payload does not hold the registered type (test
-  /// harnesses occasionally send probe payloads under protocol kinds — the
-  /// caller keeps its estimate then).
+  /// unregistered or the payload does not hold the registered type.
   [[nodiscard]] std::uint32_t encoded_size(net::MessageKind kind,
                                            const net::Payload& payload) const;
 

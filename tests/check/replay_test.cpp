@@ -171,6 +171,31 @@ INSTANTIATE_TEST_SUITE_P(
                     "at 9698148us partition ne 1 1\n"
                     "at 10100ms heal\n"}));
 
+/// The combined fault profile (rgb_fuzz --groups 4 --churn 1 --stability 1
+/// --partitions 1 --snapshot-join 1). On these seeds a stability-path
+/// token retransmission kept a reference to its in-flight hop across
+/// report_suspect(), whose synchronous cut erased that hop: release builds
+/// died with SIGSEGV (20016) or std::bad_array_new_length (20022, 20028).
+/// Each must now run to completion with zero violations.
+class CombinedProfileRepros
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CombinedProfileRepros, RunsCleanToCompletion) {
+  AdversarialConfig cfg;  // the rgb_fuzz default shape (tiers 2, ring 3)
+  cfg.groups = 4;
+  cfg.gen.churn = true;
+  cfg.stability = true;
+  cfg.gen.partitions = true;
+  cfg.snapshot_join = true;
+  const CheckRunResult result = run_random(cfg, GetParam());
+  EXPECT_TRUE(result.passed())
+      << "seed " << GetParam() << ":\n" << result.report.format();
+  EXPECT_GT(result.events_applied, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(StabilityHopUseAfterFree, CombinedProfileRepros,
+                         ::testing::Values(20016, 20022, 20028));
+
 TEST(ScheduleReplay, MinimizeReturnsPassingScheduleUnchanged) {
   const AdversarialConfig cfg = small_config();
   const FaultSchedule schedule = random_schedule_for(cfg, 7);

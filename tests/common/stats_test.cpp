@@ -181,8 +181,24 @@ TEST(Histogram, TailQuantileAccessorsHoldTheSameBound) {
     const double exact = exact_at(probe.q);
     EXPECT_GE(probe.approx, exact) << "q=" << probe.q;
     EXPECT_LE(probe.approx, exact * 1.1 + 1e-9) << "q=" << probe.q;
+    EXPECT_LE(probe.approx, h.max()) << "q=" << probe.q;
   }
   EXPECT_DOUBLE_EQ(h.max(), values.back());  // max stays exact, not bucketed
+
+  // The p99 bucket's upper edge (1.1^54 ~ 172.2) lies above the largest
+  // sample: the tail quantiles clamp to the exact max, which still bounds
+  // the exact quantile from above.
+  Histogram top;
+  for (int i = 0; i < 98; ++i) top.add(10.0);
+  top.add(163.9);
+  top.add(163.9);
+  EXPECT_DOUBLE_EQ(top.p99(), 163.9);
+  EXPECT_DOUBLE_EQ(top.p999(), 163.9);
+  EXPECT_DOUBLE_EQ(top.quantile(1.0), top.max());
+  for (const double q : {0.0, 0.5, 0.9, 0.98, 0.99, 0.999, 1.0}) {
+    EXPECT_LE(top.quantile(q), top.max()) << "q=" << q;
+  }
+  EXPECT_GE(top.p50(), 10.0);
 }
 
 TEST(Histogram, MergeEqualsCombinedAddStream) {

@@ -163,7 +163,7 @@ TEST(SnapshotJoin, CorruptBlobRejectedCleanly) {
   const bool maybe_valid =
       rgb::wire::decode_snapshot(msg.blob).ok();  // flip may be benign
   network.send(net::Envelope{sys.aps()[0], receiver, kind::kSnapshot,
-                             wire_size(msg), msg});
+                             0, msg});
   simulator.run();
   if (!maybe_valid) {
     EXPECT_EQ(sys.metrics().snapshot_decode_errors.value(), 1u);
@@ -175,7 +175,7 @@ TEST(SnapshotJoin, CorruptBlobRejectedCleanly) {
   // for a snapshot (the same message a pulling joiner emits).
   const ViewDigest mine = sys.entity(receiver)->ring_members().digest();
   network.send(net::Envelope{receiver, sys.aps()[0], kind::kSnapshotRequest,
-                             64, SnapshotRequestMsg{mine.hash, mine.count}});
+                             0, SnapshotRequestMsg{mine.hash, mine.count}});
   simulator.run();
   EXPECT_EQ(sys.view_divergence(), 0u);
 }

@@ -132,7 +132,7 @@ TEST(ViewSyncCollision, CollidingDigestIsBenignAndNextTickHeals) {
   colliding.entry_count = static_cast<std::uint32_t>(before.count);
   const std::uint64_t sends_before = viewsync_sends();
   network.send(net::Envelope{sys.aps()[2], receiver, kind::kViewSync,
-                             wire_size(colliding), colliding});
+                             0, colliding});
   simulator.run();
   EXPECT_EQ(viewsync_sends(), sends_before + 1)  // ours; no reply sent
       << "a matching digest must not trigger reconciliation";
@@ -144,7 +144,7 @@ TEST(ViewSyncCollision, CollidingDigestIsBenignAndNextTickHeals) {
   ViewSyncMsg mismatching = colliding;
   mismatching.digest ^= 1;
   network.send(net::Envelope{sys.aps()[2], receiver, kind::kViewSync,
-                             wire_size(mismatching), mismatching});
+                             0, mismatching});
   simulator.run();
   EXPECT_GE(viewsync_sends(), sends_before + 3)  // ours + the kFull reply
       << "a digest mismatch must provoke a reconciliation reply";

@@ -142,8 +142,8 @@ TEST(WireRegistry, FrameValidation) {
   EXPECT_EQ(registry.decode(trailing).error().status,
             DecodeStatus::kTrailingBytes);
 
-  // Unregistered kinds / mismatched payloads size to 0 (caller keeps its
-  // estimate).
+  // Unregistered kinds / mismatched payloads size to 0 (the metering
+  // sizer turns that into a loud failure).
   EXPECT_EQ(registry.encoded_size(9999, payload), 0u);
   EXPECT_EQ(
       registry.encoded_size(core::kind::kToken, payload),  // wrong type
