@@ -8,8 +8,8 @@
 #   check       — invariant oracles, schedule replay, baseline conformance
 #   wire        — wire codec primitives, per-kind round-trip, snapshot codec,
 #                 exact encoded-size metering of every send
-#   obs         — metrics registry/parity, op tracing, tick series, flight
-#                 recorder, violation-trace determinism
+#   obs         — metrics registry catalog, op tracing, tick series, flight
+#                 recorder, striped rings, violation-trace determinism
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -340,11 +340,17 @@ TSAN_OPTIONS="halt_on_error=1" \
     "$TSAN_DIR/rgb_exp" bench --members 1000 --modes digest --join both \
     --deterministic --shards 8 --json "$tsan_bench" 2> /dev/null
 test -s "$tsan_bench"
+# Spans on: the striped span rings, ids and causal contexts are written
+# from concurrent shard windows.
+TSAN_OPTIONS="halt_on_error=1" \
+    "$TSAN_DIR/rgb_exp" trace --members 500 --shards 8 --out "$tsan_bench" \
+    2> /dev/null
+test -s "$tsan_bench"
 rm -f "$tsan_bench"
 
 # AddressSanitizer + UndefinedBehaviorSanitizer gate over the fault
 # profiles that reconfigure rings from inside handlers (stability cuts,
-# partitions, churn): a release build can run through a use-after-free
+# partitions, churn) and over the observability suite: a release build can run through a use-after-free
 # harmlessly, so "0 violations" here also means no memory error, no UB and
 # no leak. halt_on_error and -fno-sanitize-recover turn any report into a
 # nonzero exit; LeakSanitizer stays on.
@@ -353,12 +359,17 @@ ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
-cmake --build "$ASAN_DIR" -j --target rgb_fuzz > /dev/null
+cmake --build "$ASAN_DIR" -j --target rgb_fuzz rgb_obs_tests > /dev/null
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "$ASAN_DIR/rgb_fuzz" "${COMBINED[@]}" --quiet
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "$ASAN_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 15 --start 1 --quiet
+# The observability suite: striped ring wrap, merge and clear, span
+# contexts, registry and trace export.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "$ASAN_DIR/rgb_obs_tests" --gtest_brief=1
 
 echo "OK"

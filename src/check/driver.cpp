@@ -253,13 +253,6 @@ Fixture build_fixture(const AdversarialConfig& cfg, net::Network& network,
       fx.rgb = std::make_unique<core::RgbSystem>(
           network, config,
           core::HierarchyLayout{cfg.tiers, cfg.ring_size});
-      // Sharded conformance runs: the simulator was already split into
-      // ring_size logical shards (before anything was scheduled); mirror
-      // that split onto the hierarchy/network/obs before the first probe
-      // event exists. RGB-only — the baseline protocols stay serial.
-      if (cfg.shard_workers > 0) {
-        fx.rgb->configure_shards(static_cast<std::uint32_t>(cfg.ring_size));
-      }
       fx.rgb->start_probing();
       fx.service = fx.rgb.get();
       fx.model = std::make_unique<RgbModel>(*fx.rgb, &truth);
@@ -344,7 +337,9 @@ CheckRunResult run_schedule(const AdversarialConfig& cfg,
   link.latency = net::LatencyModel::uniform(sim::msec(1), sim::msec(3));
   if (cfg.protocol == Protocol::kRgb && cfg.shard_workers > 0) {
     // Epoch = the minimum cross-shard link latency (the conservative
-    // lookahead bound); must precede any scheduling.
+    // lookahead bound); must precede any scheduling and the network, whose
+    // stripes (and the hierarchy's regions) follow the shard count.
+    // RGB-only — the baseline protocols stay serial.
     simulator.configure_shards(static_cast<std::uint32_t>(cfg.ring_size),
                                link.latency.min_delay());
     simulator.set_workers(cfg.shard_workers);

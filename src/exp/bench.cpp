@@ -86,7 +86,8 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   // Sharded trial: one logical shard per tier-0 region (= ring_size), with
   // the epoch window set to the minimum cross-shard link latency so every
   // cross-shard message lands beyond the window it was sent in. Configured
-  // before anything schedules.
+  // before anything schedules and before the network is built: the network,
+  // the hierarchy and its obs instruments take their stripes from it.
   const bool sharded = config.shard_workers > 0;
   const auto shard_count = static_cast<std::uint32_t>(config.ring_size);
   if (sharded) {
@@ -101,7 +102,6 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   rgb_config.snapshot_join = config.snapshot_join;
   core::RgbSystem sys{network, rgb_config,
                       core::HierarchyLayout{config.tiers, config.ring_size}};
-  if (sharded) sys.configure_shards(shard_count);
   // Spans flip on before any traffic so every op gets a complete causal
   // tree; wall attribution only on timed runs (untimed = deterministic).
   sys.obs().spans.set_enabled(config.spans);
@@ -405,7 +405,6 @@ MultigroupStats run_multigroup_trial(const MultigroupConfig& config,
   rgb_config.groups_per_member = 1;
   core::RgbSystem sys{network, rgb_config,
                       core::HierarchyLayout{config.tiers, config.ring_size}};
-  if (sharded) sys.configure_shards(shard_count);
 
   MultigroupStats stats;
   stats.groups = config.groups;

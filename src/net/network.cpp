@@ -34,26 +34,16 @@ void merge_metrics(Network::Metrics& out, const Network::Metrics& in) {
 
 Network::Network(sim::Simulator& simulator, common::RngStream rng,
                  LinkConfig default_link)
-    : sim_(simulator), base_rng_(std::move(rng)), default_link_(default_link) {
-  stripes_.push_back(ShardState{base_rng_, Metrics{}});
-}
-
-void Network::configure_shards(std::uint32_t count) {
-  assert(count >= 1);
-  assert(metrics().sent == 0 && metrics().dropped_src_crash == 0 &&
-         "configure_shards before any traffic");
-  stripes_.clear();
-  stripes_.reserve(count);
-  if (count == 1) {
-    // Serial: the base stream itself, byte-identical to the unsharded path.
-    stripes_.push_back(ShardState{base_rng_, Metrics{}});
-    return;
-  }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    stripes_.push_back(ShardState{
-        base_rng_.fork("shard" + std::to_string(i)), Metrics{}});
-  }
-}
+    : sim_(simulator),
+      default_link_(default_link),
+      stripes_(simulator.shard_count(),
+               [&rng, sharded = simulator.is_sharded()](std::uint32_t i) {
+                 // Serial: the base stream itself, byte-identical to the
+                 // unsharded path.
+                 if (!sharded) return ShardState{rng, Metrics{}};
+                 return ShardState{rng.fork("shard" + std::to_string(i)),
+                                   Metrics{}};
+               }) {}
 
 void Network::assign_shard(NodeId id, std::uint32_t shard) {
   assert(shard < stripes_.size());
@@ -64,11 +54,6 @@ std::uint32_t Network::shard_of(NodeId id) const {
   if (node_shard_.empty()) return 0;
   const auto it = node_shard_.find(id);
   return it == node_shard_.end() ? 0 : it->second;
-}
-
-Network::ShardState& Network::stripe() {
-  const std::uint32_t s = sim::current_executing_shard();
-  return stripes_[s < stripes_.size() ? s : 0];
 }
 
 void Network::attach(NodeId id, Endpoint* endpoint) {
@@ -148,7 +133,7 @@ void Network::reset_metrics() {
 }
 
 const Network::Metrics& Network::metrics() const {
-  if (stripes_.size() == 1) return stripes_[0].metrics;
+  if (stripes_.single()) return stripes_[0].metrics;
   merged_ = Metrics{};
   for (const ShardState& s : stripes_) merge_metrics(merged_, s.metrics);
   return merged_;
@@ -157,7 +142,7 @@ const Network::Metrics& Network::metrics() const {
 void Network::send(Envelope env) {
   assert(env.src.valid() && env.dst.valid());
 
-  ShardState& st = stripe();
+  ShardState& st = stripes_.local();
 
   // Size hook: price the envelope before anything else — byte counters,
   // taps (including the src-crash drop tap below) and delivery must all
@@ -207,7 +192,7 @@ void Network::send(Envelope env) {
     // checks are ordered early-returns so a message failing several of them
     // (e.g. a destination that is both crashed and partitioned away) is
     // counted in exactly one drop bucket.
-    ShardState& at_dst = stripe();
+    ShardState& at_dst = stripes_.local();
     if (is_crashed(env.dst)) {
       ++at_dst.metrics.dropped_crash;
       if (tap_) tap_(env, false);

@@ -10,6 +10,11 @@
 //   * network partitions (reachability classes),
 //   * metering: messages sent/delivered/dropped, bytes, per-kind counters —
 //     this is what the scalability benches read to count "message hops".
+//
+// Sharding follows the simulator: the metering and the loss/latency RNG
+// are a sim::Striped (sim/striped.hpp) with one stripe per simulator shard,
+// sized from Simulator::shard_count() when the network is built — so
+// configure the simulator before you build the Network.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +29,7 @@
 #include "net/latency.hpp"
 #include "net/message.hpp"
 #include "sim/simulator.hpp"
+#include "sim/striped.hpp"
 
 namespace rgb::net {
 
@@ -127,6 +133,13 @@ class Network {
     }
   };
 
+  /// Stripes the metering and the loss/latency RNG over the simulator's
+  /// shards as they stand now: one stripe (the serial network, drawing
+  /// from `rng` itself) unless the simulator was configured with more
+  /// shards, in which case stripe i forks `rng` as "shard<i>". A send
+  /// meters into the stripe of the shard executing it, a delivery into the
+  /// destination's stripe, so concurrent shard windows never touch shared
+  /// mutable state.
   Network(sim::Simulator& simulator, common::RngStream rng,
           LinkConfig default_link = {});
 
@@ -156,14 +169,8 @@ class Network {
 
   // --- sharding ------------------------------------------------------------
 
-  /// Splits the metering and the loss/latency RNG into `count` per-shard
-  /// stripes (stripe i forked from the base stream as "shard<i>") so that
-  /// concurrent shard windows never touch shared mutable state; a send
-  /// meters into the stripe of the shard executing it, a delivery into the
-  /// destination's stripe. Call before any traffic, paired with the
-  /// simulator's configure_shards. `metrics()` merges the stripes in shard
-  /// order, so totals are a function of the logical shard count alone.
-  void configure_shards(std::uint32_t count);
+  /// Metering/RNG stripes: the simulator's shard count at construction.
+  [[nodiscard]] std::uint32_t stripe_count() const { return stripes_.size(); }
 
   /// Homes `id` on `shard`: its message deliveries execute inside that
   /// shard's windows. Unassigned nodes live on shard 0.
@@ -189,8 +196,10 @@ class Network {
 
   // --- metering ------------------------------------------------------------
 
-  /// Metering totals. Sharded: stripes merged in shard order on each call
-  /// (cheap — callers sample between windows, not per message).
+  /// Metering totals. One stripe: the live stripe itself. Sharded: stripes
+  /// merged in shard order on each call (cheap — callers sample between
+  /// windows, not per message), so totals are a function of the logical
+  /// shard count alone.
   [[nodiscard]] const Metrics& metrics() const;
   void reset_metrics();
 
@@ -227,12 +236,8 @@ class Network {
 
   [[nodiscard]] const LinkConfig& link_between(NodeId a, NodeId b) const;
   static LinkKey link_key(NodeId a, NodeId b);
-  /// The stripe belonging to the shard window the calling thread executes
-  /// (stripe 0 outside any window, and always in serial mode).
-  [[nodiscard]] ShardState& stripe();
 
   sim::Simulator& sim_;
-  common::RngStream base_rng_;  ///< stripes fork from this; unused after
   LinkConfig default_link_;
   std::unordered_map<NodeId, Endpoint*> endpoints_;
   std::unordered_map<NodeId, int> partitions_;
@@ -240,7 +245,7 @@ class Network {
   std::unordered_map<NodeId, sim::Time> crashed_at_;
   std::unordered_map<LinkKey, LinkConfig, LinkKeyHash> links_;
   std::unordered_map<NodeId, std::uint32_t> node_shard_;
-  std::vector<ShardState> stripes_;
+  sim::Striped<ShardState> stripes_;
   mutable Metrics merged_;  ///< metrics() merge target in sharded mode
   Tap tap_;
   Sizer sizer_;

@@ -4,8 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "sim/simulator.hpp"
-
 namespace rgb::obs {
 
 const char* to_string(FlightKind kind) {
@@ -98,72 +96,6 @@ FlightOperandNames flight_operand_names(FlightKind kind) {
   return {"a", "b"};
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  stripes_[0].ring.reserve(capacity_);
-}
-
-void FlightRecorder::configure_shards(std::uint32_t count) {
-  stripes_.assign(count == 0 ? 1 : count, Ring{});
-  for (Ring& r : stripes_) r.ring.reserve(capacity_);
-}
-
-FlightRecorder::Ring& FlightRecorder::stripe() {
-  const std::uint32_t s = sim::current_executing_shard();
-  return stripes_[s < stripes_.size() ? s : 0];
-}
-
-void FlightRecorder::record(sim::Time at, common::NodeId ne, FlightKind kind,
-                            std::uint64_t a, std::uint64_t b) {
-  Ring& r = stripe();
-  const FlightEvent event{at, ne, kind, a, b};
-  if (r.ring.size() < capacity_) {
-    r.ring.push_back(event);
-  } else {
-    r.ring[r.next] = event;
-    r.next = (r.next + 1) % capacity_;
-  }
-  ++r.recorded;
-}
-
-std::size_t FlightRecorder::size() const {
-  std::size_t total = 0;
-  for (const Ring& r : stripes_) total += r.ring.size();
-  return total;
-}
-
-std::uint64_t FlightRecorder::recorded() const {
-  std::uint64_t total = 0;
-  for (const Ring& r : stripes_) total += r.recorded;
-  return total;
-}
-
-std::vector<FlightEvent> FlightRecorder::events() const {
-  // Each ring is time-monotone (a shard's clock never runs backwards), so
-  // a stable sort keyed by (time, stripe) yields the deterministic merged
-  // order: time, then shard, then intra-shard recording order.
-  std::vector<std::pair<std::uint32_t, FlightEvent>> tagged;
-  tagged.reserve(size());
-  for (std::uint32_t s = 0; s < stripes_.size(); ++s) {
-    const Ring& r = stripes_[s];
-    // Once the ring wrapped, `next` points at the oldest retained event.
-    for (std::size_t i = 0; i < r.ring.size(); ++i) {
-      tagged.emplace_back(s, r.ring[(r.next + i) % r.ring.size()]);
-    }
-  }
-  std::stable_sort(tagged.begin(), tagged.end(),
-                   [](const auto& lhs, const auto& rhs) {
-                     if (lhs.second.at != rhs.second.at) {
-                       return lhs.second.at < rhs.second.at;
-                     }
-                     return lhs.first < rhs.first;
-                   });
-  std::vector<FlightEvent> out;
-  out.reserve(tagged.size());
-  for (auto& [stripe_idx, event] : tagged) out.push_back(event);
-  return out;
-}
-
 void FlightRecorder::format_tail(std::ostream& os,
                                  std::size_t max_events) const {
   const std::vector<FlightEvent> all = events();
@@ -188,14 +120,6 @@ std::string FlightRecorder::format_tail_string(std::size_t max_events) const {
   std::ostringstream os;
   format_tail(os, max_events);
   return os.str();
-}
-
-void FlightRecorder::clear() {
-  for (Ring& r : stripes_) {
-    r.ring.clear();
-    r.next = 0;
-    r.recorded = 0;
-  }
 }
 
 }  // namespace rgb::obs

@@ -9,10 +9,12 @@
 // function of the recorded events and therefore byte-identical across
 // replays and runner thread counts.
 //
-// Sharded trials (configure_shards) give every shard its own ring, written
-// only from that shard's windows; reads merge the rings by (time, shard,
-// intra-shard order) — per-shard event order is time-monotone, so the
-// merged view is deterministic for any worker count.
+// Storage is an obs::StripedRing (obs/striped_ring.hpp): one ring per
+// simulator shard, written only from that shard's windows and merged on
+// read by (time, shard, intra-shard order), so the merged view is
+// deterministic for any worker count. The stripe count is the simulator's
+// shard count, passed in by ProtocolObs: configure the simulator before
+// building the Network and the RgbSystem over it.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "obs/striped_ring.hpp"
 #include "sim/time.hpp"
 
 namespace rgb::obs {
@@ -72,28 +75,33 @@ struct FlightEvent {
   std::uint64_t b = 0;
 };
 
-/// Fixed-capacity ring of FlightEvents. Oldest entries are overwritten;
-/// `dropped()` says how many, so a dump is honest about truncation.
+/// Fixed-capacity ring of FlightEvents per shard stripe. Oldest entries
+/// are overwritten; `dropped()` says how many, so a dump is honest about
+/// truncation. Every ring's `capacity` slots are allocated up front, so
+/// recording never allocates.
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
 
-  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
-
-  /// One ring per shard (each holding the full `capacity()`), so recording
-  /// from concurrent shard windows shares no state. Call before recording.
-  void configure_shards(std::uint32_t count);
+  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity,
+                          std::uint32_t stripes = 1)
+      : ring_(stripes, capacity, StripedRing<FlightEvent>::Reserve::kUpFront) {}
 
   void record(sim::Time at, common::NodeId ne, FlightKind kind,
-              std::uint64_t a = 0, std::uint64_t b = 0);
+              std::uint64_t a = 0, std::uint64_t b = 0) {
+    ring_.push(FlightEvent{at, ne, kind, a, b});
+  }
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t recorded() const;
-  [[nodiscard]] std::uint64_t dropped() const { return recorded() - size(); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  /// Per-stripe capacity.
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] std::uint64_t recorded() const { return ring_.recorded(); }
+  [[nodiscard]] std::uint64_t dropped() const { return ring_.dropped(); }
 
-  /// Events oldest-to-newest (materialized view over the ring).
-  [[nodiscard]] std::vector<FlightEvent> events() const;
+  /// Events oldest-to-newest, stripes merged (materialized view).
+  [[nodiscard]] std::vector<FlightEvent> events() const {
+    return ring_.merged();
+  }
 
   /// Writes the newest `max_events` (0 = all retained) oldest-to-newest,
   /// one line each, with a header noting drops. Deterministic.
@@ -101,23 +109,10 @@ class FlightRecorder {
   [[nodiscard]] std::string format_tail_string(
       std::size_t max_events = 0) const;
 
-  void clear();
+  void clear() { ring_.clear(); }
 
  private:
-  /// One shard's ring. Events land here in that shard's execution order,
-  /// which is time-monotone — the merge in events() relies on it.
-  struct Ring {
-    std::vector<FlightEvent> ring;
-    std::size_t next = 0;        ///< overwrite cursor once full
-    std::uint64_t recorded = 0;  ///< lifetime total, incl. overwritten
-  };
-
-  /// The ring of the shard window the calling thread executes (ring 0
-  /// outside any window, and always in serial mode).
-  [[nodiscard]] Ring& stripe();
-
-  std::size_t capacity_;
-  std::vector<Ring> stripes_{1};
+  StripedRing<FlightEvent> ring_;
 };
 
 }  // namespace rgb::obs

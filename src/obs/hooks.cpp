@@ -1,6 +1,7 @@
 #include "obs/hooks.hpp"
 
 #include <chrono>
+#include <optional>
 
 namespace rgb::obs {
 
@@ -15,51 +16,33 @@ void ObsTraceHooks::on_send(net::Envelope& env, sim::Time now) {
 
 void ObsTraceHooks::on_deliver(const net::Envelope& env, sim::Time now,
                                net::Endpoint& endpoint) {
-  if (!spans_.enabled()) {
-    // Default-on profile path: one array bump, then the handler. The wall
-    // clock is read only when attribution was explicitly enabled — it is
-    // the repo's single non-deterministic instrument.
-    if (!profiler_.wall_enabled()) {
-      endpoint.deliver(env);
-      profiler_.on_handled(env.kind);
-      return;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    endpoint.deliver(env);
-    const auto end = std::chrono::steady_clock::now();
-    profiler_.on_handled(env.kind);
-    profiler_.add_wall_ns(
-        env.kind, static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          end - start)
-                          .count()));
-    return;
-  }
-
-  // Traced path: the handler span parents under the envelope's send span
+  // Traced runs: the handler span parents under the envelope's send span
   // (0 for untraced traffic) and becomes the causal context for sends and
   // applies inside the handler. Deliveries never nest — every message is
   // re-delivered through a scheduled event — so a single save/restore
-  // scope per stripe is sound.
-  const std::uint64_t handler = spans_.record(
-      now, env.dst, SpanKind::kHandler, env.trace, env.span, env.kind,
-      env.src.value());
-  const SpanRecorder::Scope scope{spans_,
-                                  SpanRecorder::Context{env.trace, handler}};
-  if (!profiler_.wall_enabled()) {
-    endpoint.deliver(env);
-    profiler_.on_handled(env.kind);
-    return;
+  // scope per stripe is sound. Untraced runs pay this one branch.
+  std::optional<SpanRecorder::Scope> scope;
+  if (spans_.enabled()) {
+    const std::uint64_t handler =
+        spans_.record(now, env.dst, SpanKind::kHandler, env.trace, env.span,
+                      env.kind, env.src.value());
+    scope.emplace(spans_, SpanRecorder::Context{env.trace, handler});
   }
-  const auto start = std::chrono::steady_clock::now();
+  // Default-on profile path: one array bump after the handler. The wall
+  // clock is read only when attribution was explicitly enabled — it is the
+  // repo's single non-deterministic instrument.
+  const bool timed = profiler_.wall_enabled();
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
   endpoint.deliver(env);
-  const auto end = std::chrono::steady_clock::now();
+  if (timed) {
+    profiler_.add_wall_ns(
+        env.kind, static_cast<std::uint64_t>(
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count()));
+  }
   profiler_.on_handled(env.kind);
-  profiler_.add_wall_ns(
-      env.kind,
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-              .count()));
 }
 
 }  // namespace rgb::obs

@@ -6,6 +6,8 @@
 // counts.
 #pragma once
 
+#include <cstdint>
+
 #include "obs/flight.hpp"
 #include "obs/hooks.hpp"
 #include "obs/profile.hpp"
@@ -21,9 +23,15 @@ namespace rgb::obs {
 /// bucket arrays, and the registry holds pointers into sibling members.
 /// The span layer is the one opt-in piece (SpanRecorder::set_enabled);
 /// `hooks` is what RgbSystem installs on its network to drive spans and
-/// the handler profiler.
+/// the handler profiler. Every striped instrument gets `shards` stripes —
+/// RgbSystem passes its simulator's shard count.
 struct ProtocolObs {
-  ProtocolObs() : tracer(flight, spans), hooks(spans, profiler) {}
+  explicit ProtocolObs(std::uint32_t shards = 1)
+      : flight(FlightRecorder::kDefaultCapacity, shards),
+        spans(SpanRecorder::kDefaultCapacity, shards),
+        profiler(shards),
+        tracer(flight, spans, shards),
+        hooks(spans, profiler) {}
   ProtocolObs(const ProtocolObs&) = delete;
   ProtocolObs& operator=(const ProtocolObs&) = delete;
 

@@ -1,24 +1,9 @@
 #include "obs/profile.hpp"
 
-#include "sim/simulator.hpp"
-
 namespace rgb::obs {
 
-void HandlerProfiler::configure_shards(std::uint32_t count) {
-  stripes_.assign(count == 0 ? 1 : count, Stripe{});
-}
-
-HandlerProfiler::Stripe& HandlerProfiler::stripe() {
-  const std::uint32_t s = sim::current_executing_shard();
-  return stripes_[s < stripes_.size() ? s : 0];
-}
-
-void HandlerProfiler::on_handled(net::MessageKind kind) {
-  ++stripe().handled[slot_of(kind)];
-}
-
 void HandlerProfiler::add_wall_ns(net::MessageKind kind, std::uint64_t ns) {
-  stripe().wall_ns[slot_of(kind)] += ns;
+  stripes_.local().wall_ns[slot_of(kind)] += ns;
 }
 
 HandlerProfiler::PerKind HandlerProfiler::handled_per_kind() const {

@@ -1,7 +1,10 @@
 // Deterministic handler profiler: per-message-kind delivery counts riding
-// the same network hooks as the span layer, striped per shard and merged
-// in shard order — a pure function of the logical shard count, enumerable
-// through the metrics registry under `obs.prof.*`.
+// the same network hooks as the span layer, kept in a sim::Striped (one
+// stripe per simulator shard, sim/striped.hpp) and merged in shard order —
+// a pure function of the logical shard count, enumerable through the
+// metrics registry under `obs.prof.*`. The stripe count is the simulator's
+// shard count, passed in by ProtocolObs: configure the simulator before
+// building the Network and the RgbSystem over it.
 //
 // Wall-CPU attribution (per-kind nanoseconds inside the delivery handler)
 // is the one deliberately non-deterministic instrument in the repo: it is
@@ -13,9 +16,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
 #include "net/message.hpp"
+#include "sim/striped.hpp"
 
 namespace rgb::obs {
 
@@ -27,12 +29,13 @@ class HandlerProfiler {
 
   using PerKind = std::array<std::uint64_t, kMaxKinds>;
 
-  /// One stripe per shard, written only from that shard's windows. Call
-  /// before any traffic.
-  void configure_shards(std::uint32_t count);
+  /// One stripe per shard, written only from that shard's windows.
+  explicit HandlerProfiler(std::uint32_t stripes = 1) : stripes_(stripes) {}
 
   /// A delivery handler for `kind` ran to completion.
-  void on_handled(net::MessageKind kind);
+  void on_handled(net::MessageKind kind) {
+    ++stripes_.local().handled[slot_of(kind)];
+  }
 
   /// Opt-in wall-CPU attribution (see the file header).
   void set_wall_enabled(bool on) { wall_enabled_ = on; }
@@ -57,10 +60,8 @@ class HandlerProfiler {
     PerKind wall_ns{};
   };
 
-  [[nodiscard]] Stripe& stripe();
-
   bool wall_enabled_ = false;
-  std::vector<Stripe> stripes_{1};
+  sim::Striped<Stripe> stripes_;
 };
 
 }  // namespace rgb::obs

@@ -181,84 +181,12 @@ void MetricsRegistry::write_catalog(std::ostream& os) const {
   }
 }
 
-// One registration line per counter; the static_assert pins the struct so
-// a new RgbMetrics field cannot ship without a line here (and a parity
-// entry below).
-static_assert(sizeof(core::RgbMetrics) == 33 * sizeof(common::Counter),
-              "RgbMetrics changed: update register_rgb_metrics and "
-              "registry_parity_ok in obs/registry.cpp");
-
 void register_rgb_metrics(MetricsRegistry& registry,
                           const core::RgbMetrics& m) {
-  registry.add_counter("rgb.rounds_started", &m.rounds_started,
-                       "token rounds started (token granted and launched)");
-  registry.add_counter("rgb.rounds_completed", &m.rounds_completed,
-                       "token rounds that returned to the holder");
-  registry.add_counter("rgb.empty_probe_rounds", &m.empty_probe_rounds,
-                       "rounds carrying zero ops (liveness probes)");
-  registry.add_counter("rgb.ops_disseminated", &m.ops_disseminated,
-                       "membership ops applied to a ring member table");
-  registry.add_counter("rgb.ops_aggregated", &m.ops_aggregated,
-                       "ops collapsed by MQ aggregation before circulation");
-  registry.add_counter("rgb.token_retransmits", &m.token_retransmits,
-                       "token hops re-sent after a missing pass-ack");
-  registry.add_counter("rgb.repairs", &m.repairs,
-                       "ring splices around a faulty member");
-  registry.add_counter("rgb.leader_failovers", &m.leader_failovers,
-                       "leadership transfers after a leader failure");
-  registry.add_counter("rgb.notifications_sent", &m.notifications_sent,
-                       "inter-ring notification messages sent");
-  registry.add_counter("rgb.notify_retransmits", &m.notify_retransmits,
-                       "notifications re-sent after a missing holder-ack");
-  registry.add_counter("rgb.holder_acks", &m.holder_acks,
-                       "holder acknowledgements sent for carried notifies");
-  registry.add_counter("rgb.merges", &m.merges,
-                       "ring fragments absorbed after a partition heals");
-  registry.add_counter("rgb.ne_joins", &m.ne_joins,
-                       "network entities admitted into a ring");
-  registry.add_counter("rgb.ne_leaves", &m.ne_leaves,
-                       "network entities departing a ring voluntarily");
-  registry.add_counter("rgb.snapshots_sent", &m.snapshots_sent,
-                       "full-state snapshots sent to lagging peers");
-  registry.add_counter("rgb.snapshots_applied", &m.snapshots_applied,
-                       "snapshots decoded and imported");
-  registry.add_counter("rgb.snapshot_decode_errors", &m.snapshot_decode_errors,
-                       "snapshots rejected by wire decoding");
-  registry.add_counter("rgb.snapshot_retransmits", &m.snapshot_retransmits,
-                       "snapshots re-sent after a missing ack");
-  registry.add_counter("rgb.snapshot_push_give_ups", &m.snapshot_push_give_ups,
-                       "snapshot pushes abandoned after retry exhaustion");
-  registry.add_counter("rgb.reconcile_rounds", &m.reconcile_rounds,
-                       "anti-entropy reconcile rounds initiated");
-  registry.add_counter("rgb.reconcile_replies", &m.reconcile_replies,
-                       "reconcile replies processed");
-  registry.add_counter("rgb.reconcile_retransmits", &m.reconcile_retransmits,
-                       "reconcile claims re-sent after a missing ack");
-  registry.add_counter("rgb.reconcile_give_ups", &m.reconcile_give_ups,
-                       "reconcile exchanges abandoned after retries");
-  registry.add_counter("rgb.reconcile_reanchors", &m.reconcile_reanchors,
-                       "member records re-anchored by reconciliation");
-  registry.add_counter("rgb.stability_alerts", &m.stability_alerts,
-                       "multi-observer failure alerts raised");
-  registry.add_counter("rgb.stability_cuts", &m.stability_cuts,
-                       "correlated-failure cuts applied by the aggregator");
-  registry.add_counter("rgb.stability_batched_failures",
-                       &m.stability_batched_failures,
-                       "failures batched into a single cut");
-  registry.add_counter("rgb.stability_suppressed_flaps",
-                       &m.stability_suppressed_flaps,
-                       "alerts cancelled by observed liveness");
-  registry.add_counter("rgb.stability_timeout_fallbacks",
-                       &m.stability_timeout_fallbacks,
-                       "cuts forced by aggregation timeout");
-  registry.add_counter("rgb.digest_groups_packed", &m.digest_groups_packed,
-                       "per-group digests packed into kDigest sync frames");
-  registry.add_counter("rgb.group_fulls_sent", &m.group_fulls_sent,
-                       "groups shipped in scoped kFull sync replies");
-  registry.add_counter("rgb.group_diffs_sent", &m.group_diffs_sent,
-                       "groups shipped in scoped kDiff sync replies");
-  registry.add_counter("rgb.groups_created", &m.groups_created,
-                       "group states instantiated in NE directories");
+#define RGB_REGISTER_COUNTER(field, description) \
+  registry.add_counter("rgb." #field, &m.field, description);
+  RGB_METRICS_COUNTERS(RGB_REGISTER_COUNTER)
+#undef RGB_REGISTER_COUNTER
 }
 
 namespace {
@@ -366,72 +294,6 @@ void register_profiler(MetricsRegistry& registry,
         return out;
       },
       "per-message-kind handler invocation counts (non-zero kinds)");
-}
-
-bool registry_parity_ok(const MetricsRegistry& registry,
-                        const core::RgbMetrics& metrics,
-                        const net::Network& network) {
-  const auto matches = [&registry](const char* name, std::uint64_t legacy) {
-    const std::optional<std::uint64_t> value = registry.value_of(name);
-    return value.has_value() && *value == legacy;
-  };
-  const net::Network::Metrics& n = network.metrics();
-  return matches("rgb.rounds_started", metrics.rounds_started.value()) &&
-         matches("rgb.rounds_completed", metrics.rounds_completed.value()) &&
-         matches("rgb.empty_probe_rounds",
-                 metrics.empty_probe_rounds.value()) &&
-         matches("rgb.ops_disseminated", metrics.ops_disseminated.value()) &&
-         matches("rgb.ops_aggregated", metrics.ops_aggregated.value()) &&
-         matches("rgb.token_retransmits",
-                 metrics.token_retransmits.value()) &&
-         matches("rgb.repairs", metrics.repairs.value()) &&
-         matches("rgb.leader_failovers", metrics.leader_failovers.value()) &&
-         matches("rgb.notifications_sent",
-                 metrics.notifications_sent.value()) &&
-         matches("rgb.notify_retransmits",
-                 metrics.notify_retransmits.value()) &&
-         matches("rgb.holder_acks", metrics.holder_acks.value()) &&
-         matches("rgb.merges", metrics.merges.value()) &&
-         matches("rgb.ne_joins", metrics.ne_joins.value()) &&
-         matches("rgb.ne_leaves", metrics.ne_leaves.value()) &&
-         matches("rgb.snapshots_sent", metrics.snapshots_sent.value()) &&
-         matches("rgb.snapshots_applied",
-                 metrics.snapshots_applied.value()) &&
-         matches("rgb.snapshot_decode_errors",
-                 metrics.snapshot_decode_errors.value()) &&
-         matches("rgb.snapshot_retransmits",
-                 metrics.snapshot_retransmits.value()) &&
-         matches("rgb.snapshot_push_give_ups",
-                 metrics.snapshot_push_give_ups.value()) &&
-         matches("rgb.reconcile_rounds", metrics.reconcile_rounds.value()) &&
-         matches("rgb.reconcile_replies",
-                 metrics.reconcile_replies.value()) &&
-         matches("rgb.reconcile_retransmits",
-                 metrics.reconcile_retransmits.value()) &&
-         matches("rgb.reconcile_give_ups",
-                 metrics.reconcile_give_ups.value()) &&
-         matches("rgb.reconcile_reanchors",
-                 metrics.reconcile_reanchors.value()) &&
-         matches("rgb.stability_alerts", metrics.stability_alerts.value()) &&
-         matches("rgb.stability_cuts", metrics.stability_cuts.value()) &&
-         matches("rgb.stability_batched_failures",
-                 metrics.stability_batched_failures.value()) &&
-         matches("rgb.stability_suppressed_flaps",
-                 metrics.stability_suppressed_flaps.value()) &&
-         matches("rgb.stability_timeout_fallbacks",
-                 metrics.stability_timeout_fallbacks.value()) &&
-         matches("rgb.digest_groups_packed",
-                 metrics.digest_groups_packed.value()) &&
-         matches("rgb.group_fulls_sent", metrics.group_fulls_sent.value()) &&
-         matches("rgb.group_diffs_sent", metrics.group_diffs_sent.value()) &&
-         matches("rgb.groups_created", metrics.groups_created.value()) &&
-         matches("net.sent", n.sent) && matches("net.delivered", n.delivered) &&
-         matches("net.dropped_loss", n.dropped_loss) &&
-         matches("net.dropped_crash", n.dropped_crash) &&
-         matches("net.dropped_src_crash", n.dropped_src_crash) &&
-         matches("net.dropped_partition", n.dropped_partition) &&
-         matches("net.dropped_unattached", n.dropped_unattached) &&
-         matches("net.bytes_sent", n.bytes_sent);
 }
 
 }  // namespace rgb::obs

@@ -135,9 +135,8 @@ class MetricsRegistry {
   std::vector<HistogramEntry> histograms_;
 };
 
-/// Registers every core::RgbMetrics counter under "rgb.<field>". The
-/// definition site carries a static_assert pinning sizeof(RgbMetrics), so
-/// adding a counter without registering it breaks the build here.
+/// Registers every core::RgbMetrics counter under "rgb.<field>", in
+/// declaration order (both expand from RGB_METRICS_COUNTERS).
 void register_rgb_metrics(MetricsRegistry& registry,
                           const core::RgbMetrics& metrics);
 
@@ -155,14 +154,5 @@ void register_tracer(MetricsRegistry& registry, const OpTracer& tracer);
 /// separated bench-JSON block.
 void register_profiler(MetricsRegistry& registry,
                        const HandlerProfiler& profiler);
-
-/// Satellite guard: the registry-enumerated export must agree with the
-/// legacy hand-read fields while both exist. Checks every RgbMetrics
-/// counter and the Network totals against `value_of`; returns false on any
-/// missing name or value drift. Asserted (debug) in the bench export path
-/// and exercised by tests/obs/registry_test.cpp.
-[[nodiscard]] bool registry_parity_ok(const MetricsRegistry& registry,
-                                      const core::RgbMetrics& metrics,
-                                      const net::Network& network);
 
 }  // namespace rgb::obs

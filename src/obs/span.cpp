@@ -1,9 +1,5 @@
 #include "obs/span.hpp"
 
-#include <algorithm>
-
-#include "sim/simulator.hpp"
-
 namespace rgb::obs {
 
 const char* to_string(SpanKind kind) {
@@ -20,96 +16,31 @@ const char* to_string(SpanKind kind) {
   return "?";
 }
 
-SpanRecorder::SpanRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void SpanRecorder::configure_shards(std::uint32_t count) {
-  stripes_.assign(count == 0 ? 1 : count, Ring{});
-}
-
-SpanRecorder::Ring& SpanRecorder::stripe() {
-  const std::uint32_t s = sim::current_executing_shard();
-  return stripes_[s < stripes_.size() ? s : 0];
-}
-
 std::uint64_t SpanRecorder::record(sim::Time at, common::NodeId ne,
                                    SpanKind kind, std::uint64_t trace,
                                    std::uint64_t parent, std::uint64_t a,
                                    std::uint64_t b) {
   if (!enabled_) return 0;
-  Ring& r = stripe();
+  Local& l = local_.local();
   // Stripe index in the high bits keeps ids unique across stripes without
   // shared state; both halves are deterministic (the stripe executing a
   // given event is the logical shard, never the worker thread).
-  const auto stripe_idx =
-      static_cast<std::uint64_t>(&r - stripes_.data());
-  const std::uint64_t id = ((stripe_idx + 1) << 40) | ++r.next_id;
-  const Span span{at, ne, kind, id, parent, trace, a, b};
-  if (r.ring.size() < capacity_) {
-    if (r.ring.empty()) r.ring.reserve(std::min<std::size_t>(capacity_, 256));
-    r.ring.push_back(span);
-  } else {
-    r.ring[r.next] = span;
-    r.next = (r.next + 1) % capacity_;
-  }
-  ++r.recorded;
+  const std::uint64_t id =
+      ((std::uint64_t{local_.index_of(l)} + 1) << 40) | ++l.next_id;
+  ring_.push(Span{at, ne, kind, id, parent, trace, a, b});
   return id;
 }
 
-SpanRecorder::Context SpanRecorder::current() { return stripe().ctx; }
-
 SpanRecorder::Context SpanRecorder::exchange(Context next) {
-  Ring& r = stripe();
-  const Context prev = r.ctx;
-  r.ctx = next;
+  Local& l = local_.local();
+  const Context prev = l.ctx;
+  l.ctx = next;
   return prev;
 }
 
-std::size_t SpanRecorder::size() const {
-  std::size_t total = 0;
-  for (const Ring& r : stripes_) total += r.ring.size();
-  return total;
-}
-
-std::uint64_t SpanRecorder::recorded() const {
-  std::uint64_t total = 0;
-  for (const Ring& r : stripes_) total += r.recorded;
-  return total;
-}
-
-std::vector<Span> SpanRecorder::spans() const {
-  // Same merge as the flight recorder: each ring is time-monotone, so a
-  // stable sort by (time, stripe) yields time, then shard, then
-  // intra-shard recording order — deterministic for any worker count.
-  std::vector<std::pair<std::uint32_t, Span>> tagged;
-  tagged.reserve(size());
-  for (std::uint32_t s = 0; s < stripes_.size(); ++s) {
-    const Ring& r = stripes_[s];
-    for (std::size_t i = 0; i < r.ring.size(); ++i) {
-      tagged.emplace_back(s, r.ring[(r.next + i) % r.ring.size()]);
-    }
-  }
-  std::stable_sort(tagged.begin(), tagged.end(),
-                   [](const auto& lhs, const auto& rhs) {
-                     if (lhs.second.at != rhs.second.at) {
-                       return lhs.second.at < rhs.second.at;
-                     }
-                     return lhs.first < rhs.first;
-                   });
-  std::vector<Span> out;
-  out.reserve(tagged.size());
-  for (auto& [stripe_idx, span] : tagged) out.push_back(span);
-  return out;
-}
-
 void SpanRecorder::clear() {
-  for (Ring& r : stripes_) {
-    r.ring.clear();
-    r.next = 0;
-    r.recorded = 0;
-    r.next_id = 0;
-    r.ctx = Context{};
-  }
+  ring_.clear();
+  for (Local& l : local_) l = Local{};
 }
 
 }  // namespace rgb::obs

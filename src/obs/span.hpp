@@ -17,12 +17,15 @@
 // Shard windows execute one event at a time per shard and deliveries never
 // nest, so a single save/restore slot per stripe is sufficient.
 //
-// Determinism: spans land in bounded per-shard rings written only from
-// that shard's windows; span ids are allocated per-stripe (stripe index in
-// the high bits, a per-stripe counter below), and reads merge the rings by
-// (time, stripe, intra-stripe order) — the whole surface, export included,
-// is a function of the logical shard count alone, byte-identical for any
-// worker count.
+// Determinism: spans land in an obs::StripedRing (obs/striped_ring.hpp),
+// one bounded ring per simulator shard written only from that shard's
+// windows and merged on read by (time, stripe, intra-stripe order); span
+// ids and the causal context live in a sim::Striped beside it (stripe
+// index in the high bits of an id, a per-stripe counter below). The whole
+// surface, export included, is a function of the logical shard count
+// alone, byte-identical for any worker count. The stripe count is the
+// simulator's shard count, passed in by ProtocolObs: configure the
+// simulator before building the Network and the RgbSystem over it.
 //
 // Recording is off by default (`set_enabled`) so untraced runs pay only a
 // branch; the handler profiler rides the same hooks and stays default-on.
@@ -33,6 +36,8 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "obs/striped_ring.hpp"
+#include "sim/striped.hpp"
 #include "sim/time.hpp"
 
 namespace rgb::obs {
@@ -68,7 +73,9 @@ struct Span {
 class SpanRecorder {
  public:
   /// Per-stripe ring capacity. Spans are ~4x denser than flight events
-  /// (every traced hop records one), so the default ring is deeper.
+  /// (every traced hop records one), so the default ring is deeper; its
+  /// slots are allocated on first use, so an untraced run never pays for
+  /// them.
   static constexpr std::size_t kDefaultCapacity = 1 << 15;
 
   /// The causal context of the currently executing scope: the trace the
@@ -78,11 +85,10 @@ class SpanRecorder {
     std::uint64_t span = 0;
   };
 
-  explicit SpanRecorder(std::size_t capacity = kDefaultCapacity);
-
-  /// One ring (+ id counter + context slot) per shard, written only from
-  /// that shard's windows. Call before recording.
-  void configure_shards(std::uint32_t count);
+  explicit SpanRecorder(std::size_t capacity = kDefaultCapacity,
+                        std::uint32_t stripes = 1)
+      : ring_(stripes, capacity, StripedRing<Span>::Reserve::kLazy),
+        local_(stripes) {}
 
   /// Master switch. Off (the default): record() is a no-op returning id 0
   /// and the context never changes, so untraced runs pay one branch per
@@ -99,7 +105,7 @@ class SpanRecorder {
                        std::uint64_t a, std::uint64_t b);
 
   /// The executing stripe's context ({0, 0} outside any causal scope).
-  [[nodiscard]] Context current();
+  [[nodiscard]] Context current() { return local_.local().ctx; }
   /// Installs `next` as the stripe context, returning the previous one.
   Context exchange(Context next);
 
@@ -118,33 +124,30 @@ class SpanRecorder {
     Context prev_;
   };
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t recorded() const;
-  [[nodiscard]] std::uint64_t dropped() const { return recorded() - size(); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  /// Per-stripe capacity.
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] std::uint64_t recorded() const { return ring_.recorded(); }
+  [[nodiscard]] std::uint64_t dropped() const { return ring_.dropped(); }
 
   /// Spans merged oldest-to-newest by (time, stripe, intra-stripe order) —
   /// deterministic for any worker count (each stripe is time-monotone).
-  [[nodiscard]] std::vector<Span> spans() const;
+  [[nodiscard]] std::vector<Span> spans() const { return ring_.merged(); }
 
+  /// Empties the rings and resets every stripe's id counter and context.
   void clear();
 
  private:
-  /// One shard's ring + id allocator + context slot. The context is safe
+  /// One stripe's id allocator and context slot. The context is safe
   /// un-synchronised: one thread executes one shard's window at a time.
-  struct Ring {
-    std::vector<Span> ring;
-    std::size_t next = 0;        ///< overwrite cursor once full
-    std::uint64_t recorded = 0;  ///< lifetime total, incl. overwritten
-    std::uint64_t next_id = 0;   ///< per-stripe span id counter
+  struct Local {
+    std::uint64_t next_id = 0;
     Context ctx;
   };
 
-  [[nodiscard]] Ring& stripe();
-
-  std::size_t capacity_;
   bool enabled_ = false;
-  std::vector<Ring> stripes_{1};
+  StripedRing<Span> ring_;
+  sim::Striped<Local> local_;
 };
 
 }  // namespace rgb::obs

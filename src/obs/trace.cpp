@@ -1,20 +1,6 @@
 #include "obs/trace.hpp"
 
-#include "sim/simulator.hpp"
-
 namespace rgb::obs {
-
-OpTracer::OpTracer(FlightRecorder& flight, SpanRecorder& spans)
-    : flight_(flight), spans_(spans) {}
-
-void OpTracer::configure_shards(std::uint32_t count) {
-  stripes_.assign(count == 0 ? 1 : count, Stripe{});
-}
-
-OpTracer::Stripe& OpTracer::stripe() {
-  const std::uint32_t s = sim::current_executing_shard();
-  return stripes_[s < stripes_.size() ? s : 0];
-}
 
 SpanRecorder::Context OpTracer::on_op_born(const core::MembershipOp& op,
                                            common::NodeId at, sim::Time now) {
@@ -48,7 +34,7 @@ void OpTracer::on_op_applied(const core::MembershipOp& op, common::NodeId at,
   // RGB fixture) carry born == 0 with a non-zero apply tick; a stamp is
   // only trustworthy when it is <= now.
   if (op.born > now) return;
-  Stripe& st = stripe();
+  Stripe& st = stripes_.local();
   const auto latency = static_cast<double>(now - op.born);
   st.dissemination[static_cast<std::size_t>(op.kind)].add(latency);
   if (op.kind == core::OpKind::kMemberJoin && tier == 0) {
@@ -58,9 +44,8 @@ void OpTracer::on_op_applied(const core::MembershipOp& op, common::NodeId at,
     // would record the sample once per shard. Each uid therefore has one
     // designated recording stripe (uid mod shard count): exactly one
     // sample per join, picked deterministically.
-    const auto stripe_idx =
-        static_cast<std::size_t>(&st - stripes_.data());
-    if (stripes_.size() > 1 && op.uid % stripes_.size() != stripe_idx) {
+    if (!stripes_.single() &&
+        op.uid % stripes_.size() != stripes_.index_of(st)) {
       return;
     }
     if (st.joins_seen_at_root.insert(op.uid).second) {
@@ -76,14 +61,14 @@ void OpTracer::on_op_applied(const core::MembershipOp& op, common::NodeId at,
 
 void OpTracer::on_member_detected(common::Guid mh, common::NodeId detector,
                                   sim::Duration latency, sim::Time now) {
-  stripe().member_detection.add(static_cast<double>(latency));
+  stripes_.local().member_detection.add(static_cast<double>(latency));
   flight_.record(now, detector, FlightKind::kDetectMemberFail, mh.value(),
                  latency);
 }
 
 void OpTracer::on_ne_detected(common::NodeId ne, common::NodeId detector,
                               sim::Duration latency, sim::Time now) {
-  stripe().ne_detection.add(static_cast<double>(latency));
+  stripes_.local().ne_detection.add(static_cast<double>(latency));
   flight_.record(now, detector, FlightKind::kDetectNeFail, ne.value(),
                  latency);
 }
@@ -97,7 +82,7 @@ void OpTracer::on_view_change(FlightKind kind, common::NodeId at,
 
 const common::Histogram& OpTracer::merged(common::Histogram Stripe::*member,
                                           common::Histogram& cache) const {
-  if (stripes_.size() == 1) return stripes_[0].*member;
+  if (stripes_.single()) return stripes_[0].*member;
   cache = common::Histogram{};
   for (const Stripe& s : stripes_) cache.merge(s.*member);
   return cache;
@@ -105,7 +90,7 @@ const common::Histogram& OpTracer::merged(common::Histogram Stripe::*member,
 
 const common::Histogram& OpTracer::dissemination(core::OpKind kind) const {
   const auto k = static_cast<std::size_t>(kind);
-  if (stripes_.size() == 1) return stripes_[0].dissemination[k];
+  if (stripes_.single()) return stripes_[0].dissemination[k];
   merge_cache_.dissemination[k] = common::Histogram{};
   for (const Stripe& s : stripes_) {
     merge_cache_.dissemination[k].merge(s.dissemination[k]);
@@ -143,7 +128,7 @@ common::Histogram OpTracer::merged_detection() const {
 }
 
 void OpTracer::reset() {
-  for (Stripe& st : stripes_) st = Stripe{};
+  for (Stripe& st : stripes_) st = Stripe();
   view_changes_.reset();
 }
 

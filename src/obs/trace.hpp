@@ -15,12 +15,14 @@
 // per-trial (owned by the trial's RgbSystem), so multi-threaded runners
 // never share tracer state.
 //
-// Sharded trials (configure_shards) stripe the histograms per shard —
-// each written only from its shard's windows — and the accessors merge
-// the stripes in shard order, so the exported digests are a function of
-// the logical shard count alone, never of worker interleaving. The
-// view-change counter stays shared (common::Counter is a relaxed atomic;
-// sums commute).
+// The histograms are a sim::Striped (sim/striped.hpp), one stripe per
+// simulator shard, each written only from its shard's windows; the
+// accessors merge the stripes in shard order, so the exported digests are
+// a function of the logical shard count alone, never of worker
+// interleaving. The stripe count is the simulator's shard count, passed
+// in by ProtocolObs: configure the simulator before building the Network
+// and the RgbSystem over it. The view-change counter stays shared
+// (common::Counter is a relaxed atomic; sums commute).
 #pragma once
 
 #include <array>
@@ -34,6 +36,7 @@
 #include "obs/flight.hpp"
 #include "obs/span.hpp"
 #include "rgb/types.hpp"
+#include "sim/striped.hpp"
 #include "sim/time.hpp"
 
 namespace rgb::obs {
@@ -43,11 +46,9 @@ inline constexpr std::size_t kOpKindCount = 7;
 
 class OpTracer {
  public:
-  OpTracer(FlightRecorder& flight, SpanRecorder& spans);
-
-  /// Stripes the tracer's instruments into `count` per-shard copies. Call
-  /// before any tracing, paired with the simulator's configure_shards.
-  void configure_shards(std::uint32_t count);
+  OpTracer(FlightRecorder& flight, SpanRecorder& spans,
+           std::uint32_t stripes = 1)
+      : flight_(flight), spans_(spans), stripes_(stripes) {}
 
   /// The originating NE stamped `op.born` and is about to disseminate it.
   /// Opens the op's causal trace (trace id = uid, root span = the birth)
@@ -112,14 +113,13 @@ class OpTracer {
     std::deque<std::uint64_t> joins_seen_order;
   };
 
-  [[nodiscard]] Stripe& stripe();
   [[nodiscard]] const common::Histogram& merged(
       common::Histogram Stripe::*member, common::Histogram& cache) const;
 
   FlightRecorder& flight_;
   SpanRecorder& spans_;
   common::Counter view_changes_;
-  std::vector<Stripe> stripes_{1};
+  sim::Striped<Stripe> stripes_;
   /// Merge targets for the sharded accessors (see the accessor contract).
   mutable Stripe merge_cache_;
 };

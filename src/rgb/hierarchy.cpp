@@ -32,9 +32,13 @@ RgbSystem::RgbSystem(net::Network& network, RgbConfig config,
     : network_(network),
       config_(config),
       layout_(layout),
-      first_node_id_(first_node_id) {
+      first_node_id_(first_node_id),
+      obs_(network.simulator().shard_count()),
+      attachments_(network.simulator().shard_count()) {
   assert(layout_.ring_tiers >= 1);
   assert(layout_.ring_size >= 1);
+  assert(network_.stripe_count() == network_.simulator().shard_count() &&
+         "configure the simulator's shards before building the Network");
   rgb::wire::attach_encoded_metering(network_);
   // One registration pass wires the enumerable export; exporters iterate
   // the registry instead of hand-listing RgbMetrics/Network fields.
@@ -64,21 +68,13 @@ RgbSystem::RgbSystem(net::Network& network, RgbConfig config,
   // network keeps a raw pointer, so the dtor must detach it.
   network_.set_trace_hooks(&obs_.hooks);
   build();
+  const std::uint32_t shards = network_.simulator().shard_count();
+  if (shards > 1) assign_regions(shards);
 }
 
 RgbSystem::~RgbSystem() { network_.set_trace_hooks(nullptr); }
 
-void RgbSystem::configure_shards(std::uint32_t count) {
-  assert(count >= 1);
-  assert(network_.simulator().shard_count() == count &&
-         "configure the simulator's shards (count + epoch) first");
-  network_.configure_shards(count);
-  obs_.flight.configure_shards(count);
-  obs_.tracer.configure_shards(count);
-  obs_.spans.configure_shards(count);
-  obs_.profiler.configure_shards(count);
-  attachments_.assign(count, {});
-
+void RgbSystem::assign_regions(std::uint32_t count) {
   // Region rule: tier-0 node at flattened position p anchors region p;
   // a tier-t ring (t >= 1) with index ridx hangs transitively under
   // position ridx / r^(t-1), so all its members join that region. Regions
@@ -116,8 +112,8 @@ void RgbSystem::with_entity_shard(NodeId id,
   if (sim::in_shard_context()) {
     // Already executing inside a shard window (e.g. a join scheduled onto
     // its AP's home shard): the context must match — entity state is owned
-    // by its home shard.
-    assert(sim::current_executing_shard() == home &&
+    // by its home shard (the executing shard is the facade's local stripe).
+    assert(attachments_.local_index() == home &&
            "facade entity call from a foreign shard's window");
     fn();
     return;
@@ -197,7 +193,7 @@ void RgbSystem::join(Guid mh, NodeId ap) {
   if (attachments_.size() > 1 && !sim::in_shard_context()) {
     // Re-join via an AP homed elsewhere: retire the stale record. Only
     // safe single-threaded — inside shard windows joins must be fresh
-    // guids (the concurrent-join contract in configure_shards).
+    // guids (the concurrent-join contract on the constructor).
     for (std::uint32_t s = 0; s < attachments_.size(); ++s) {
       if (s != home) attachments_[s].erase(mh);
     }
@@ -554,8 +550,6 @@ NodeId RgbSystem::ap_of(Guid mh) const {
 
 std::vector<obs::MetricsRegistry::Sample> RgbSystem::metrics_snapshot()
     const {
-  assert(obs::registry_parity_ok(obs_.registry, metrics_, network_) &&
-         "registry-enumerated export drifted from the legacy metric fields");
   return obs_.registry.snapshot();
 }
 

@@ -21,6 +21,7 @@
 #include "rgb/metrics.hpp"
 #include "rgb/network_entity.hpp"
 #include "rgb/types.hpp"
+#include "sim/striped.hpp"
 
 namespace rgb::core {
 
@@ -42,25 +43,24 @@ class RgbSystem : public proto::MembershipService {
   /// from `first_node_id` tier by tier, so the first node of every ring is
   /// also its lowest id — consistent with the deterministic leadership rule
   /// used after failures.
+  ///
+  /// Sharding follows the simulator: configure the simulator's shards
+  /// before you build the Network, and the system (like the network's
+  /// metering and every obs instrument, all sim::Striped) takes its shard
+  /// count from there. With K > 1 shards, each tier-0 node (by flattened
+  /// ring position) anchors a *region* — itself plus the subtree of rings
+  /// transitively hanging under it — and regions are assigned round-robin
+  /// over shards, so intra-ring traffic below tier 0 stays shard-local and
+  /// only tier-0 token/notify hops cross shards. Facade calls from outside
+  /// shard contexts are wrapped in run_as(home shard); concurrent facade
+  /// *joins* are safe when scheduled on the joining AP's home shard
+  /// (schedule_on), provided each guid joins once.
   RgbSystem(net::Network& network, RgbConfig config, HierarchyLayout layout,
             std::uint64_t first_node_id = 1);
 
   ~RgbSystem() override;
 
   // --- sharding ------------------------------------------------------------
-
-  /// Splits the system across `count` logical shards. Each tier-0 node (by
-  /// flattened ring position) anchors a *region* — itself plus the subtree
-  /// of rings transitively hanging under it — and regions are assigned
-  /// round-robin over shards, so intra-ring traffic below tier 0 stays
-  /// shard-local and only tier-0 token/notify hops cross shards. Also
-  /// stripes the network metering/RNG and the obs instruments. Call after
-  /// construction, after the simulator's own configure_shards, and before
-  /// any traffic. Facade calls from outside shard contexts are wrapped in
-  /// run_as(home shard); concurrent facade *joins* are safe when scheduled
-  /// on the joining AP's home shard (schedule_on), provided each guid joins
-  /// once.
-  void configure_shards(std::uint32_t count);
 
   /// Home shard of an NE (0 when unsharded).
   [[nodiscard]] std::uint32_t shard_of(NodeId id) const;
@@ -117,9 +117,7 @@ class RgbSystem : public proto::MembershipService {
   [[nodiscard]] obs::ProtocolObs& obs() { return obs_; }
   [[nodiscard]] const obs::ProtocolObs& obs() const { return obs_; }
 
-  /// Registry-enumerated snapshot of every scalar metric. Debug-asserts
-  /// registry/legacy parity so the enumerated export can never silently
-  /// drift from the hand-written RgbMetrics/Network fields.
+  /// Registry-enumerated snapshot of every scalar metric.
   [[nodiscard]] std::vector<obs::MetricsRegistry::Sample> metrics_snapshot()
       const;
 
@@ -167,6 +165,9 @@ class RgbSystem : public proto::MembershipService {
 
  private:
   void build();
+  /// The region rule of the constructor doc: homes every NE on its
+  /// tier-0 region's shard (`shards` > 1).
+  void assign_regions(std::uint32_t shards);
   /// Runs `fn` in `id`'s home-shard context (so events it schedules — retx
   /// timers, probe ticks — land on, and are cancellable from, that shard).
   /// Inside a shard window this asserts the context already matches.
@@ -186,7 +187,7 @@ class RgbSystem : public proto::MembershipService {
   /// Member -> current AP, striped by the AP's home shard so concurrent
   /// joins on different shards touch different maps (one stripe when
   /// unsharded). A member's record lives in its current AP's stripe.
-  std::vector<std::unordered_map<Guid, NodeId>> attachments_{1};
+  sim::Striped<std::unordered_map<Guid, NodeId>> attachments_;
 };
 
 }  // namespace rgb::core

@@ -11,50 +11,56 @@
 
 namespace rgb::core {
 
+/// Every protocol counter, declared once as X(field, description). The
+/// RgbMetrics fields and their registry entries (obs::register_rgb_metrics,
+/// named "rgb.<field>") both expand from this list, in this order, so a new
+/// counter is one line here.
+#define RGB_METRICS_COUNTERS(X)                                               \
+  X(rounds_started, "token rounds started (token granted and launched)")      \
+  X(rounds_completed, "token rounds that returned to the holder")             \
+  X(empty_probe_rounds, "rounds carrying zero ops (liveness probes)")         \
+  X(ops_disseminated, "membership ops applied to a ring member table")        \
+  X(ops_aggregated, "ops collapsed by MQ aggregation before circulation")     \
+  X(token_retransmits, "token hops re-sent after a missing pass-ack")         \
+  X(repairs, "ring splices around a faulty member")                           \
+  X(leader_failovers, "leadership transfers after a leader failure")          \
+  X(notifications_sent, "inter-ring notification messages sent")              \
+  X(notify_retransmits, "notifications re-sent after a missing holder-ack")   \
+  X(holder_acks, "holder acknowledgements sent for carried notifies")         \
+  X(merges, "ring fragments absorbed after a partition heals")                \
+  X(ne_joins, "network entities admitted into a ring")                        \
+  X(ne_leaves, "network entities departing a ring voluntarily")               \
+  X(snapshots_sent, "full-state snapshots sent to lagging peers")             \
+  X(snapshots_applied, "snapshots decoded and imported")                      \
+  X(snapshot_decode_errors, "snapshots rejected by wire decoding")            \
+  X(snapshot_retransmits, "snapshots re-sent after a missing ack")            \
+  X(snapshot_push_give_ups,                                                   \
+    "snapshot pushes abandoned after retry exhaustion")                       \
+  /* Post-heal reconciliation (kReconcile re-anchoring rounds); the check     \
+     layer reads these to assert the round actually ran on heal paths. */     \
+  X(reconcile_rounds, "anti-entropy reconcile rounds initiated")              \
+  X(reconcile_replies, "reconcile replies processed")                         \
+  X(reconcile_retransmits, "reconcile claims re-sent after a missing ack")    \
+  X(reconcile_give_ups, "reconcile exchanges abandoned after retries")        \
+  X(reconcile_reanchors, "member records re-anchored by reconciliation")      \
+  /* Multi-observer cut detection (stability layer); the A/B bench and the    \
+     stability tests read these to assert batching/suppression happened. */   \
+  X(stability_alerts, "multi-observer failure alerts raised")                 \
+  X(stability_cuts, "correlated-failure cuts applied by the aggregator")      \
+  X(stability_batched_failures, "failures batched into a single cut")         \
+  X(stability_suppressed_flaps, "alerts cancelled by observed liveness")      \
+  X(stability_timeout_fallbacks, "cuts forced by aggregation timeout")        \
+  /* Multi-group serving: packed anti-entropy and directory growth. */        \
+  X(digest_groups_packed,                                                     \
+    "per-group digests packed into kDigest sync frames")                      \
+  X(group_fulls_sent, "groups shipped in scoped kFull sync replies")          \
+  X(group_diffs_sent, "groups shipped in scoped kDiff sync replies")          \
+  X(groups_created, "group states instantiated in NE directories")
+
 struct RgbMetrics {
-  common::Counter rounds_started;
-  common::Counter rounds_completed;
-  common::Counter empty_probe_rounds;
-  common::Counter ops_disseminated;    ///< ops applied via tokens, all NEs
-  common::Counter ops_aggregated;      ///< ops absorbed by MQ aggregation
-  common::Counter token_retransmits;
-  common::Counter repairs;             ///< faulty NEs spliced out of a ring
-  common::Counter leader_failovers;
-  common::Counter notifications_sent;  ///< NotifyParent + NotifyChild
-  common::Counter notify_retransmits;
-  common::Counter holder_acks;
-  common::Counter merges;              ///< ring fragments merged
-  common::Counter ne_joins;
-  common::Counter ne_leaves;
-  common::Counter snapshots_sent;      ///< kSnapshot transfers pushed/served
-  common::Counter snapshots_applied;   ///< snapshots that changed a view
-  common::Counter snapshot_decode_errors;  ///< corrupt blobs rejected
-  common::Counter snapshot_retransmits;    ///< unacked flush pushes resent
-  common::Counter snapshot_push_give_ups;  ///< flush pushes past retx budget
-  // Post-heal reconciliation (kReconcile re-anchoring rounds). The check
-  // layer reads these to assert the round actually ran on heal paths.
-  common::Counter reconcile_rounds;    ///< claim exchanges initiated
-  common::Counter reconcile_replies;   ///< claim sets answered
-  common::Counter reconcile_retransmits;
-  common::Counter reconcile_give_ups;  ///< exchanges past the retx budget
-  common::Counter reconcile_reanchors; ///< falsified epochs re-asserted
-  // Multi-observer cut detection (stability layer). The A/B bench and the
-  // stability tests read these to assert batching/suppression happened.
-  common::Counter stability_alerts;      ///< kAlert raised by observers
-  common::Counter stability_cuts;        ///< batched cuts applied
-  common::Counter stability_batched_failures;  ///< suspects failed via cuts
-  common::Counter stability_suppressed_flaps;  ///< alerts cancelled by
-                                               ///< liveness counter-evidence
-  common::Counter stability_timeout_fallbacks; ///< single-observer fallback
-  // Multi-group serving (PR10): packed anti-entropy and directory growth.
-  common::Counter digest_groups_packed;  ///< per-group digests packed into
-                                         ///< kDigest anti-entropy frames
-  common::Counter group_fulls_sent;      ///< groups shipped in scoped kFull
-                                         ///< sync replies
-  common::Counter group_diffs_sent;      ///< groups shipped in scoped kDiff
-                                         ///< sync replies
-  common::Counter groups_created;        ///< group states instantiated in
-                                         ///< NE directories
+#define RGB_METRICS_FIELD(field, description) common::Counter field;
+  RGB_METRICS_COUNTERS(RGB_METRICS_FIELD)
+#undef RGB_METRICS_FIELD
 };
 
 /// Sum of proposal-plane sends (token circulation + inter-ring

@@ -58,9 +58,9 @@ struct EventId {
 
 /// The shard whose window the calling thread is currently executing (also
 /// set inside Simulator::run_as), or 0 when the thread is outside any
-/// shard context. Lets per-shard striped state (network metrics/RNG, obs
-/// instruments) pick its stripe without threading a simulator reference
-/// everywhere. Serial simulations always report 0.
+/// shard context. sim::Striped (sim/striped.hpp) reads it to pick the
+/// stripe the executing event writes; nothing else should. Serial
+/// simulations always report 0.
 [[nodiscard]] std::uint32_t current_executing_shard();
 
 /// True when the calling thread is inside a shard context (a shard window
@@ -87,8 +87,10 @@ class Simulator {
 
   /// Splits the event space into `count` logical shards advancing in
   /// epoch windows of at most `epoch` (> 0) virtual time. Must be called
-  /// before anything is scheduled. The trajectory depends on `count` and
-  /// `epoch`, never on the worker count.
+  /// before anything is scheduled and before anything striped over this
+  /// simulator is built (the Network, RgbSystem): they read shard_count()
+  /// once, at construction. The trajectory depends on `count` and `epoch`,
+  /// never on the worker count.
   void configure_shards(std::uint32_t count, Duration epoch);
 
   /// Worker threads that execute shard windows (clamped to the shard

@@ -1,9 +1,11 @@
 // MetricsRegistry: enumeration order, lookup, deterministic JSON/CSV
-// export, and the registry/legacy-field parity guard (the debug assertion
-// behind RgbSystem::metrics_snapshot).
+// export, and the catalog of a live RgbSystem (counter names, order and the
+// fields behind them).
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/profile.hpp"
 #include "obs/registry.hpp"
@@ -108,45 +110,85 @@ TEST(MetricsRegistry, CatalogCarriesTypesAndDescriptions) {
 
 class RegistryParityTest : public RgbSystemTest {};
 
-/// Satellite guard: after real protocol activity, the registry-enumerated
-/// export and the legacy hand-read RgbMetrics / Network::Metrics fields
-/// agree on every value.
-TEST_F(RegistryParityTest, RegisteredExportMatchesLegacyFields) {
+/// The protocol and network counters of a live system's catalog, pinned by
+/// exact name and order (the `rgb_exp metrics --catalog` layout, which
+/// downstream readers key on), and every rgb.* counter bumped through its
+/// RgbMetrics field reads back through the registry under its own name.
+TEST_F(RegistryParityTest, CatalogPinsCounterNamesAndReadsTheirFields) {
   auto& sys = build(2, 3);
   sys.start_probing();
   for (std::uint64_t i = 1; i <= 20; ++i) {
     sys.join(common::Guid{i}, sys.aps()[i % sys.aps().size()]);
   }
   run_for_ms(2000);
-  sys.crash_ne(sys.aps()[0]);  // exercise repair/detection counters too
-  run_for_ms(3000);
 
-  EXPECT_TRUE(registry_parity_ok(sys.obs().registry, sys.metrics(), network_));
-  // The asserting snapshot path agrees with a direct registry read.
-  EXPECT_EQ(sys.metrics_snapshot().size(), sys.obs().registry.snapshot().size());
-  // Spot-check one name against the legacy field.
-  EXPECT_EQ(sys.obs().registry.value_of("rgb.rounds_started"),
-            sys.metrics().rounds_started.value());
-  EXPECT_EQ(sys.obs().registry.value_of("net.sent"), network_.metrics().sent);
-}
+  std::vector<std::string> names;
+  for (const auto& row : sys.obs().registry.catalog()) {
+    if (row.name.rfind("rgb.", 0) == 0 || row.name.rfind("net.", 0) == 0) {
+      names.push_back(row.name);
+    }
+  }
+  const std::vector<std::string> expected = {
+      "rgb.rounds_started",
+      "rgb.rounds_completed",
+      "rgb.empty_probe_rounds",
+      "rgb.ops_disseminated",
+      "rgb.ops_aggregated",
+      "rgb.token_retransmits",
+      "rgb.repairs",
+      "rgb.leader_failovers",
+      "rgb.notifications_sent",
+      "rgb.notify_retransmits",
+      "rgb.holder_acks",
+      "rgb.merges",
+      "rgb.ne_joins",
+      "rgb.ne_leaves",
+      "rgb.snapshots_sent",
+      "rgb.snapshots_applied",
+      "rgb.snapshot_decode_errors",
+      "rgb.snapshot_retransmits",
+      "rgb.snapshot_push_give_ups",
+      "rgb.reconcile_rounds",
+      "rgb.reconcile_replies",
+      "rgb.reconcile_retransmits",
+      "rgb.reconcile_give_ups",
+      "rgb.reconcile_reanchors",
+      "rgb.stability_alerts",
+      "rgb.stability_cuts",
+      "rgb.stability_batched_failures",
+      "rgb.stability_suppressed_flaps",
+      "rgb.stability_timeout_fallbacks",
+      "rgb.digest_groups_packed",
+      "rgb.group_fulls_sent",
+      "rgb.group_diffs_sent",
+      "rgb.groups_created",
+      "net.sent",
+      "net.delivered",
+      "net.dropped_loss",
+      "net.dropped_crash",
+      "net.dropped_src_crash",
+      "net.dropped_partition",
+      "net.dropped_unattached",
+      "net.bytes_sent",
+      "net.sent.kind<K>",
+      "net.bytes.kind<K>",
+  };
+  EXPECT_EQ(names, expected);
 
-/// Drift is detected, not silently exported: a registry whose entry reads a
-/// different location than the legacy field fails the parity check.
-TEST_F(RegistryParityTest, DriftingRegistryFailsParity) {
-  auto& sys = build(1, 3);
-  sys.join(common::Guid{1}, sys.aps()[0]);
-  run_all();
-
-  MetricsRegistry drifted;
-  register_rgb_metrics(drifted, sys.metrics());
-  register_network_metrics(drifted, network_);
-  EXPECT_TRUE(registry_parity_ok(drifted, sys.metrics(), network_));
-
-  core::RgbMetrics other;  // same shape, different (idle) instance
-  MetricsRegistry wrong;
-  register_rgb_metrics(wrong, other);
-  register_network_metrics(wrong, network_);
-  EXPECT_FALSE(registry_parity_ok(wrong, sys.metrics(), network_));
+  // Distinct bumps per counter, so a registry entry reading a neighbour's
+  // field cannot pass.
+  const MetricsRegistry& reg = sys.obs().registry;
+  std::uint64_t bump = 1000;
+#define RGB_CHECK_COUNTER(field, description)                        \
+  {                                                                  \
+    const std::uint64_t before = sys.metrics().field.value();        \
+    sys.metrics().field.increment(++bump);                           \
+    EXPECT_EQ(reg.value_of("rgb." #field), before + bump) << #field; \
+  }
+  RGB_METRICS_COUNTERS(RGB_CHECK_COUNTER)
+#undef RGB_CHECK_COUNTER
+  EXPECT_EQ(reg.value_of("net.sent"), network_.metrics().sent);
+  EXPECT_EQ(reg.value_of("net.bytes_sent"), network_.metrics().bytes_sent);
 }
 
 /// Every metric an RgbSystem registers shows up in the catalog with a

@@ -87,7 +87,10 @@ TracedRun run_handoff_trial(unsigned workers) {
   core::RgbConfig config;
   config.probe_period = sim::msec(100);
   core::RgbSystem sys{network, config, core::HierarchyLayout{2, 3}};
-  sys.configure_shards(kShards);
+  // No call beyond the simulator's: the network's stripes, the regions of
+  // the hierarchy and the obs stripes all follow its shard count.
+  EXPECT_EQ(network.stripe_count(), kShards);
+  EXPECT_NE(sys.shard_of(sys.rings(0).front()[1]), 0u);
   sys.obs().spans.set_enabled(true);
 
   const std::vector<common::NodeId>& aps = sys.aps();
@@ -135,6 +138,11 @@ TEST(SpanShardedDeterminism, HandoffTraceByteIdenticalAcrossWorkerCounts) {
   // The export actually carries cross-NE flow events, not just tracks.
   EXPECT_NE(one.chrome.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(one.chrome.find("\"ph\":\"f\""), std::string::npos);
+  // Spans were recorded on shards other than 0 (stripe index + 1 in the
+  // high bits of the id): the span rings are striped.
+  bool off_stripe_zero = false;
+  for (const Span& s : one.spans) off_stripe_zero |= (s.id >> 40) > 1;
+  EXPECT_TRUE(off_stripe_zero);
 }
 
 /// Every traced op's parent links form a single connected tree: exactly
