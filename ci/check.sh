@@ -19,7 +19,21 @@ echo "== configure =="
 cmake -B "$BUILD_DIR" -S . > /dev/null
 
 echo "== build =="
-cmake --build "$BUILD_DIR" -j
+build_log="$(mktemp)"
+cmake --build "$BUILD_DIR" -j 2>&1 | tee "$build_log"
+
+# The project's own sources must compile warning-free. The gate reads
+# what this build compiled (all of it in a fresh build dir) and matches
+# only warnings located under src/ or tools/: a blanket -Werror would also
+# trip on third-party headers, e.g. libstdc++ 12's char_traits.h emits a
+# -Wrestrict false positive on std::string code.
+echo "== warning gate (src/, tools/) =="
+if grep -E "^($(pwd -P)/)?(src|tools)/[^:]+:[0-9]+(:[0-9]+)?: warning:"     "$build_log"; then
+  echo "FAIL: the build printed warnings under src/ or tools/" >&2
+  rm -f "$build_log"
+  exit 1
+fi
+rm -f "$build_log"
 
 # Note: bare `-j` must come last — it greedily consumes the next token, so
 # `-j -L unit` would silently drop the label filter.
@@ -208,8 +222,8 @@ echo "== rgb_wire smoke =="
 # Perf trajectory: a bounded scale-bench smoke must run clean (converged
 # steady-state cells) and emit the BENCH json artifact, so every CI run
 # keeps a point on the trajectory next to the committed BENCH_PR*.json
-# (full sweeps are produced by `bench_scale` / `rgb_exp bench`).
-echo "== bench_scale smoke =="
+# (full sweeps are produced by `rgb_exp bench`).
+echo "== bench smoke =="
 bench_log="$(mktemp)"
 if ! "$BUILD_DIR/rgb_exp" bench --smoke --json "$BUILD_DIR/BENCH_PR6.json" \
     --series "$BUILD_DIR/BENCH_PR6_series.csv" --detect 2> "$bench_log"; then
@@ -350,22 +364,30 @@ rm -f "$tsan_bench"
 
 # AddressSanitizer + UndefinedBehaviorSanitizer gate over the fault
 # profiles that reconfigure rings from inside handlers (stability cuts,
-# partitions, churn) and over the observability suite: a release build can run through a use-after-free
-# harmlessly, so "0 violations" here also means no memory error, no UB and
-# no leak. halt_on_error and -fno-sanitize-recover turn any report into a
-# nonzero exit; LeakSanitizer stays on.
+# partitions, churn), over the unit suite (which hosts the simulator
+# kernel and network tests) and over the observability suite: a release
+# build can run through a use-after-free harmlessly, so "0 violations"
+# here also means no memory error, no UB and no leak. halt_on_error and
+# -fno-sanitize-recover turn any report into a nonzero exit;
+# LeakSanitizer stays on.
 echo "== asan+ubsan fuzz gate =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
-cmake --build "$ASAN_DIR" -j --target rgb_fuzz rgb_obs_tests > /dev/null
+cmake --build "$ASAN_DIR" -j --target rgb_fuzz rgb_unit_tests rgb_obs_tests \
+    > /dev/null
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "$ASAN_DIR/rgb_fuzz" "${COMBINED[@]}" --quiet
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "$ASAN_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 15 --start 1 --quiet
+# The unit suite: the simulator kernel (window loop, shard routing,
+# cancel/tombstone churn, worker pool), the network and every module test.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "$ASAN_DIR/rgb_unit_tests" --gtest_brief=1
 # The observability suite: striped ring wrap, merge and clear, span
 # contexts, registry and trace export.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

@@ -335,14 +335,11 @@ CheckRunResult run_schedule(const AdversarialConfig& cfg,
   sim::Simulator simulator;
   net::LinkConfig link;
   link.latency = net::LatencyModel::uniform(sim::msec(1), sim::msec(3));
-  if (cfg.protocol == Protocol::kRgb && cfg.shard_workers > 0) {
-    // Epoch = the minimum cross-shard link latency (the conservative
-    // lookahead bound); must precede any scheduling and the network, whose
-    // stripes (and the hierarchy's regions) follow the shard count.
-    // RGB-only — the baseline protocols stay serial.
-    simulator.configure_shards(static_cast<std::uint32_t>(cfg.ring_size),
-                               link.latency.min_delay());
-    simulator.set_workers(cfg.shard_workers);
+  if (cfg.protocol == Protocol::kRgb) {
+    // RGB-only — the baseline protocols stay on one shard.
+    core::shard_by_region(simulator,
+                          core::HierarchyLayout{cfg.tiers, cfg.ring_size},
+                          link.latency.min_delay(), cfg.shard_workers);
   }
   net::Network network{simulator, rng.fork("net"), link};
 

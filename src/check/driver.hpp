@@ -125,7 +125,7 @@ struct AdversarialConfig {
   /// Fault classes for random generation; counts are filled from the
   /// topology by random_schedule_for.
   ScheduleGenConfig gen;
-  /// RGB only: 0 = classic serial run. > 0 = sharded run — the simulator
+  /// RGB only: 0 = one-shard run. > 0 = sharded run — the simulator
   /// splits into ring_size logical shards (fixed by topology, one per
   /// tier-0 region) with this many worker threads. The report is
   /// byte-identical for every positive value; the knob exists so the fuzz

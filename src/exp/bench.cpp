@@ -83,18 +83,10 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
                                 std::ostream* trace_out) {
   common::RngStream rng{config.seed};
   sim::Simulator simulator;
-  // Sharded trial: one logical shard per tier-0 region (= ring_size), with
-  // the epoch window set to the minimum cross-shard link latency so every
-  // cross-shard message lands beyond the window it was sent in. Configured
-  // before anything schedules and before the network is built: the network,
-  // the hierarchy and its obs instruments take their stripes from it.
-  const bool sharded = config.shard_workers > 0;
-  const auto shard_count = static_cast<std::uint32_t>(config.ring_size);
-  if (sharded) {
-    simulator.configure_shards(shard_count,
-                               net::LinkConfig{}.latency.min_delay());
-    simulator.set_workers(config.shard_workers);
-  }
+  core::shard_by_region(simulator,
+                        core::HierarchyLayout{config.tiers, config.ring_size},
+                        net::LinkConfig{}.latency.min_delay(),
+                        config.shard_workers);
   net::Network network{simulator, rng.fork("net")};
   core::RgbConfig rgb_config;
   rgb_config.probe_period = config.probe_period;
@@ -138,16 +130,13 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   const auto& aps = sys.aps();
   for (std::uint64_t i = 0; i < config.members; ++i) {
     const auto ap = aps[i % aps.size()];
-    auto join = [&sys, ap, i]() { sys.join(common::Guid{i + 1}, ap); };
-    if (sharded) {
-      // Joins land directly on the joining AP's home shard, so the surge
-      // runs inside the parallel windows instead of serializing a million
-      // barrier events.
-      simulator.schedule_on(sys.shard_of(ap), config.join_spacing * i,
-                            std::move(join));
-    } else {
-      simulator.schedule_at(config.join_spacing * i, std::move(join));
-    }
+    // Joins land directly on the joining AP's home shard, so a sharded
+    // surge runs inside the parallel windows instead of serializing a
+    // million barrier events.
+    simulator.schedule_on(sys.shard_of(ap), config.join_spacing * i,
+                          [&sys, ap, i]() {
+                            sys.join(common::Guid{i + 1}, ap);
+                          });
   }
   // The join window is timed (it feeds the join-events/s headline), so its
   // samples skip the O(NE*N) divergence walk just like the steady window's;
@@ -390,13 +379,10 @@ MultigroupStats run_multigroup_trial(const MultigroupConfig& config,
                                      bool timed) {
   common::RngStream rng{config.seed};
   sim::Simulator simulator;
-  const bool sharded = config.shard_workers > 0;
-  const auto shard_count = static_cast<std::uint32_t>(config.ring_size);
-  if (sharded) {
-    simulator.configure_shards(shard_count,
-                               net::LinkConfig{}.latency.min_delay());
-    simulator.set_workers(config.shard_workers);
-  }
+  core::shard_by_region(simulator,
+                        core::HierarchyLayout{config.tiers, config.ring_size},
+                        net::LinkConfig{}.latency.min_delay(),
+                        config.shard_workers);
   net::Network network{simulator, rng.fork("net")};
   core::RgbConfig rgb_config;
   rgb_config.probe_period = config.probe_period;
@@ -419,13 +405,10 @@ MultigroupStats run_multigroup_trial(const MultigroupConfig& config,
   const auto join_start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < stats.total_members; ++i) {
     const auto ap = aps[i % aps.size()];
-    auto join = [&sys, ap, i]() { sys.join(common::Guid{i + 1}, ap); };
-    if (sharded) {
-      simulator.schedule_on(sys.shard_of(ap), config.join_spacing * i,
-                            std::move(join));
-    } else {
-      simulator.schedule_at(config.join_spacing * i, std::move(join));
-    }
+    simulator.schedule_on(sys.shard_of(ap), config.join_spacing * i,
+                          [&sys, ap, i]() {
+                            sys.join(common::Guid{i + 1}, ap);
+                          });
   }
   simulator.run();
   const auto join_end = std::chrono::steady_clock::now();

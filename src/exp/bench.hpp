@@ -12,7 +12,7 @@
 //    digest-vs-full traffic claim;
 //  * wall-clock metrics — join/steady wall time, events/sec, peak RSS —
 //    host-dependent by nature, reported only by the timed bench entry
-//    points (`bench_scale`, `rgb_exp bench`) and recorded per PR in
+//    point (`rgb_exp bench`) and recorded per PR in
 //    BENCH_*.json so the perf trajectory accumulates alongside the code.
 #pragma once
 
@@ -48,7 +48,7 @@ struct ScaleConfig {
   /// Steady-state measurement window, in probe periods.
   int steady_ticks = 10;
   std::uint64_t seed = 0xBE7C4ULL;
-  /// 0 = classic serial trial. > 0 = sharded trial: the hierarchy splits
+  /// 0 = one-shard trial. > 0 = sharded trial: the hierarchy splits
   /// into ring_size logical shards (one per tier-0 region) advancing in
   /// epoch windows, with this many worker threads executing the windows.
   /// The trajectory is a function of the *logical* shard count (i.e. of
@@ -228,7 +228,7 @@ struct MultigroupConfig {
   int warmup_ticks = 10;
   int steady_ticks = 10;
   std::uint64_t seed = 0x96B0DF5ULL;
-  /// As ScaleConfig::shard_workers: 0 = serial, > 0 = sharded trial with
+  /// As ScaleConfig::shard_workers: 0 = one shard, > 0 = sharded trial with
   /// byte-identical deterministic metrics for every positive worker count.
   unsigned shard_workers = 0;
 };
@@ -303,8 +303,8 @@ struct SweepModes {
 };
 
 /// Runs the full members x mode grid (timed), logging one summary line per
-/// cell to `log`. Shared by `bench_scale` and `rgb_exp bench` so the sweep
-/// semantics — cell order, mode selection, reporting — live in one place.
+/// cell to `log`. Behind `rgb_exp bench`, so the sweep semantics — cell
+/// order, mode selection, reporting — live in one place.
 /// `timed = false` zeroes the wall-clock fields, making the JSON artifact
 /// byte-identical across hosts and replays (the CI determinism gate).
 [[nodiscard]] std::vector<ScaleStats> run_scale_sweep(

@@ -466,7 +466,7 @@ Scenario make_bench_scale() {
       "(dissemination vs snapshot)";
   s.paper_ref = "extension (perf trajectory, PR3/PR4)";
   // Deterministic protocol metrics only — wall-clock numbers come from the
-  // timed entry points (`rgb_exp bench`, bench_scale) and BENCH_*.json.
+  // timed entry point (`rgb_exp bench`) and BENCH_*.json.
   // Byte metrics are real encoded bytes (wire codec metering).
   s.metrics = {"viewsync_bytes", "viewsync_msgs", "steady_events",
                "join_events",    "join_bytes",    "join_divergence",

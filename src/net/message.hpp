@@ -82,7 +82,9 @@ class Payload {
   }
 
   std::shared_ptr<const std::any> shared_;
-  alignas(std::max_align_t) unsigned char inline_storage_[kInlineBytes];
+  /// Zeroed so copying a Payload whose value is narrower than the buffer
+  /// (or a heap-backed one) never reads indeterminate bytes.
+  alignas(std::max_align_t) unsigned char inline_storage_[kInlineBytes] = {};
   const std::type_info* inline_type_ = nullptr;
 };
 

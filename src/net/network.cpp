@@ -38,8 +38,7 @@ Network::Network(sim::Simulator& simulator, common::RngStream rng,
       default_link_(default_link),
       stripes_(simulator.shard_count(),
                [&rng, sharded = simulator.is_sharded()](std::uint32_t i) {
-                 // Serial: the base stream itself, byte-identical to the
-                 // unsharded path.
+                 // One shard: the base stream itself.
                  if (!sharded) return ShardState{rng, Metrics{}};
                  return ShardState{rng.fork("shard" + std::to_string(i)),
                                    Metrics{}};
@@ -185,8 +184,7 @@ void Network::send(Envelope env) {
   const NodeId dst = env.dst;
 
   auto deliver = [this, env = std::move(env), sent_at]() {
-    // Runs inside the destination's shard window (or the serial loop), so
-    // it meters into the destination's stripe. Re-check at delivery time:
+    // Runs inside the destination's shard window, so it meters into the destination's stripe. Re-check at delivery time:
     // the destination may have crashed, a partition may have formed, or the
     // endpoint may have detached while the message was in flight. The
     // checks are ordered early-returns so a message failing several of them
@@ -220,14 +218,10 @@ void Network::send(Envelope env) {
     }
   };
 
-  if (sim_.is_sharded()) {
-    // Route to the destination's home shard; same-shard sends take the
-    // direct path, cross-shard ones ride the barrier outbox (the link
-    // latency >= epoch contract keeps them beyond the current window).
-    sim_.schedule_on(shard_of(dst), sent_at + delay, std::move(deliver));
-  } else {
-    sim_.schedule_after(delay, std::move(deliver));
-  }
+  // Route to the destination's home shard; same-shard sends take the
+  // direct path, cross-shard ones ride the barrier outbox (the link
+  // latency >= epoch contract keeps them beyond the current window).
+  sim_.schedule_on(shard_of(dst), sent_at + delay, std::move(deliver));
 }
 
 }  // namespace rgb::net

@@ -134,9 +134,8 @@ class Network {
   };
 
   /// Stripes the metering and the loss/latency RNG over the simulator's
-  /// shards as they stand now: one stripe (the serial network, drawing
-  /// from `rng` itself) unless the simulator was configured with more
-  /// shards, in which case stripe i forks `rng` as "shard<i>". A send
+  /// shards as they stand now: one stripe (drawing from `rng` itself)
+  /// unless the simulator was configured with more shards, in which case stripe i forks `rng` as "shard<i>". A send
   /// meters into the stripe of the shard executing it, a delivery into the
   /// destination's stripe, so concurrent shard windows never touch shared
   /// mutable state.
@@ -228,7 +227,6 @@ class Network {
 
  private:
   /// Per-shard mutable state: everything the send/delivery hot path writes.
-  /// One stripe (the default) is the classic serial network, byte-for-byte.
   struct ShardState {
     common::RngStream rng;
     Metrics metrics;
@@ -246,7 +244,7 @@ class Network {
   std::unordered_map<LinkKey, LinkConfig, LinkKeyHash> links_;
   std::unordered_map<NodeId, std::uint32_t> node_shard_;
   sim::Striped<ShardState> stripes_;
-  mutable Metrics merged_;  ///< metrics() merge target in sharded mode
+  mutable Metrics merged_;  ///< metrics() merge target (> 1 stripe)
   Tap tap_;
   Sizer sizer_;
   TraceHooks* trace_hooks_ = nullptr;

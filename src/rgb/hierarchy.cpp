@@ -97,17 +97,20 @@ void RgbSystem::assign_regions(std::uint32_t count) {
   }
 }
 
+void shard_by_region(sim::Simulator& simulator, const HierarchyLayout& layout,
+                     sim::Duration min_link_delay, unsigned workers) {
+  if (workers == 0) return;
+  simulator.configure_shards(static_cast<std::uint32_t>(layout.ring_size),
+                             min_link_delay);
+  simulator.set_workers(workers);
+}
+
 std::uint32_t RgbSystem::shard_of(NodeId id) const {
   return network_.shard_of(id);
 }
 
 void RgbSystem::with_entity_shard(NodeId id,
                                   const std::function<void()>& fn) {
-  sim::Simulator& simulator = network_.simulator();
-  if (!simulator.is_sharded()) {
-    fn();
-    return;
-  }
   const std::uint32_t home = network_.shard_of(id);
   if (sim::in_shard_context()) {
     // Already executing inside a shard window (e.g. a join scheduled onto
@@ -118,7 +121,7 @@ void RgbSystem::with_entity_shard(NodeId id,
     fn();
     return;
   }
-  simulator.run_as(home, fn);
+  network_.simulator().run_as(home, fn);
 }
 
 namespace {

@@ -190,4 +190,14 @@ class RgbSystem : public proto::MembershipService {
   sim::Striped<std::unordered_map<Guid, NodeId>> attachments_;
 };
 
+/// Shards `simulator` for an RGB run on `layout`, following RgbSystem's
+/// region rule. `workers` = 0 leaves it at one shard. Otherwise it gets one
+/// shard per tier-0 region (layout.ring_size), an epoch of
+/// `min_link_delay` — the smallest cross-shard link latency, so every
+/// cross-shard message lands beyond the window that sent it — and
+/// `workers` threads to run the windows. Call before anything is scheduled
+/// and before the Network is built.
+void shard_by_region(sim::Simulator& simulator, const HierarchyLayout& layout,
+                     sim::Duration min_link_delay, unsigned workers);
+
 }  // namespace rgb::core

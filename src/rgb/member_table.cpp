@@ -87,8 +87,10 @@ std::optional<MemberRecord> MemberTable::find(Guid guid) const {
 std::optional<TableEntry> MemberTable::lookup(Guid guid) const {
   const auto it = records_.find(guid);
   if (it == records_.end()) return std::nullopt;
-  return TableEntry{it->second.record, it->second.last_seq,
-                    it->second.claim_seq};
+  return TableEntry{.record = it->second.record,
+                    .last_seq = it->second.last_seq,
+                    .claim_seq = it->second.claim_seq,
+                    .gid = GroupId{}};
 }
 
 bool MemberTable::contains(Guid guid) const {
@@ -156,7 +158,10 @@ std::vector<TableEntry> MemberTable::export_entries() const {
   std::vector<TableEntry> out;
   out.reserve(records_.size());
   for (const auto& [guid, entry] : records_) {
-    out.push_back(TableEntry{entry.record, entry.last_seq, entry.claim_seq});
+    out.push_back(TableEntry{.record = entry.record,
+                             .last_seq = entry.last_seq,
+                             .claim_seq = entry.claim_seq,
+                             .gid = GroupId{}});
   }
   std::sort(out.begin(), out.end(),
             [](const TableEntry& a, const TableEntry& b) {
@@ -197,8 +202,10 @@ std::vector<TableEntry> MemberTable::newer_than(
     if (it == theirs.end() ||
         record_precedes(it->second.first, it->second.second, entry.claim_seq,
                         entry.last_seq)) {
-      out.push_back(
-          TableEntry{entry.record, entry.last_seq, entry.claim_seq});
+      out.push_back(TableEntry{.record = entry.record,
+                               .last_seq = entry.last_seq,
+                               .claim_seq = entry.claim_seq,
+                               .gid = GroupId{}});
     }
   }
   std::sort(out.begin(), out.end(),

@@ -9,6 +9,31 @@
 namespace rgb::core {
 
 namespace {
+
+/// Snapshot-join flush debounce: a dirty NE pushes its snapshot after this
+/// long with no further table change. Arrivals during a surge keep pushing
+/// the timer back, so a 20k-member join phase ships one snapshot per edge
+/// instead of 20k notifications. The window must exceed the inter-round
+/// gaps of a sustained surge (rounds aggregate a few ms of arrivals each),
+/// otherwise mid-surge gaps leak partial snapshots; it is also the
+/// per-tier latency a change pays to reach the bottom in this mode, so it
+/// trades bulk efficiency against freshness.
+constexpr sim::Duration kSnapshotFlushQuiet = sim::msec(50);
+
+/// Post-heal reconciliation (kReconcile): after a ring merge, reform or
+/// crash-window recovery, hosting APs re-anchor their attachment claims
+/// against the merged table through an acked, retransmitted claim exchange
+/// with their ring leader (leaders: with their parent). This is the
+/// debounce between the trigger and the exchange, letting the trigger's
+/// entry imports land first so claims are checked against the merged
+/// table.
+constexpr sim::Duration kReconcileDelay = sim::msec(100);
+
+/// Stability layer: alerts from this many distinct observers fire the cut
+/// early (before the window closes). Clamped to the feasible observer
+/// count, so degenerate rings (2 survivors) still converge.
+constexpr int kStabilityK = 2;
+
 /// Deterministic leadership rule after failures: the lowest NodeId among
 /// alive roster members. Every node evaluates the same rule on the same
 /// (eventually consistent) roster, so leadership converges without an
@@ -1349,14 +1374,13 @@ void NetworkEntity::rearm_after_reconfigure() {
 }
 
 void NetworkEntity::schedule_reconcile() {
-  if (!config_.reconcile_rounds) return;
   if (local_attached_.empty()) return;
   // Debounce: merge storms (several reforms while fragments knit back
   // together) collapse into one exchange once the shape settles, and the
   // trigger's entry imports land before the claims are checked.
   cancel_timer(reconcile_timer_);
-  reconcile_timer_ = set_timer(config_.reconcile_delay,
-                               [this]() { run_reconcile_round(); });
+  reconcile_timer_ =
+      set_timer(kReconcileDelay, [this]() { run_reconcile_round(); });
 }
 
 void NetworkEntity::run_reconcile_round() {
@@ -1779,8 +1803,8 @@ void NetworkEntity::schedule_snapshot_flush(bool to_ring, bool to_child) {
   // window, so a sustained surge ships one snapshot at its end, not one
   // per round.
   cancel_timer(snapshot_flush_timer_);
-  snapshot_flush_timer_ = set_timer(config_.snapshot_flush_quiet,
-                                    [this]() { flush_snapshot(); });
+  snapshot_flush_timer_ =
+      set_timer(kSnapshotFlushQuiet, [this]() { flush_snapshot(); });
 }
 
 SnapshotMsg NetworkEntity::make_snapshot_msg() const {
@@ -2230,7 +2254,7 @@ void NetworkEntity::check_stability_cut() {
   // every cut would wait out the full window.
   const int feasible =
       roster_.size() > 1 ? static_cast<int>(roster_.size()) - 1 : 1;
-  const int k = std::max(1, std::min(config_.stability_k, feasible));
+  const int k = std::max(1, std::min(kStabilityK, feasible));
   if (stability_.ready(now(), config_.stability_window, k)) {
     // A K-corroborated cut fires immediately. A deadline-only cut first
     // verifies its suspects: the dominant false-cut path is a suppressed

@@ -235,7 +235,7 @@ class NetworkEntity : public proto::Process {
   // --- snapshot state transfer (kSnapshot bulk-join path) ----------------------
   // Under config.snapshot_join the per-op downward dissemination is
   // replaced by debounced framed MemberTable snapshots: NEs that applied
-  // fresh member state mark themselves dirty; after snapshot_flush_quiet
+  // fresh member state mark themselves dirty; after kSnapshotFlushQuiet
   // with no further change they push one wire-encoded snapshot to their
   // child ring leader (and, when they learned the state *from* a snapshot
   // rather than a token round, across their own ring if they lead it).
@@ -267,7 +267,8 @@ class NetworkEntity : public proto::Process {
   // (leaders: to their parent), the responder returns every table entry
   // that out-ranks a claim, and the asker re-evaluates — superseded
   // epochs are dropped, falsified ones re-anchored with a fresh op
-  // through the normal round machinery.
+  // through the normal round machinery. Triggers are debounced by
+  // kReconcileDelay, so a merge storm collapses into one exchange.
   void schedule_reconcile();
   void run_reconcile_round();
   void handle_reconcile(const ReconcileMsg& msg, NodeId from);

@@ -46,13 +46,16 @@ struct Simulator::Pool {
     }
   }
 
-  void run_generation(Time window_end) {
+  /// Runs one window on every worker; returns the events they executed.
+  std::uint64_t run_generation(Time window_end) {
     std::unique_lock lock{mu};
     end = window_end;
     pending = static_cast<unsigned>(threads.size());
+    executed = 0;
     ++generation;
     cv_work.notify_all();
     cv_done.wait(lock, [this] { return pending == 0; });
+    return executed;
   }
 
   void stop() {
@@ -78,12 +81,14 @@ struct Simulator::Pool {
         window_end = end;
       }
       const std::uint32_t shard_total = sim.shard_count();
+      std::uint64_t ran = 0;
       for (std::uint32_t s = id; s < shard_total; s += count) {
         ShardContextGuard ctx{s};
-        sim.run_window(s, window_end);
+        ran += sim.run_window(s, window_end);
       }
       {
         std::lock_guard lock{mu};
+        executed += ran;
         if (--pending == 0) cv_done.notify_one();
       }
     }
@@ -95,6 +100,7 @@ struct Simulator::Pool {
   std::uint64_t generation = 0;
   Time end = 0;
   unsigned pending = 0;
+  std::uint64_t executed = 0;
   bool stopping = false;
 };
 
@@ -116,7 +122,9 @@ void Simulator::configure_shards(std::uint32_t count, Duration epoch) {
   stop_pool();
   shards_.clear();
   shards_.resize(count);
-  epoch_ = epoch;
+  // A lone shard hands nothing off, so it needs no lookahead: one-tick
+  // windows keep its trajectory the plain (time, seq) order.
+  epoch_ = count == 1 ? 1 : epoch;
 }
 
 void Simulator::set_workers(unsigned workers) {
@@ -126,10 +134,6 @@ void Simulator::set_workers(unsigned workers) {
 
 void Simulator::run_as(std::uint32_t shard, const std::function<void()>& fn) {
   assert(shard < shards_.size());
-  if (!is_sharded()) {
-    fn();
-    return;
-  }
   assert(!in_window_ && "run_as is a between-windows facade hook");
   // An idle shard's clock may trail the fence; pull it forward so events
   // the callee schedules "now" are never in the shard's past.
@@ -143,7 +147,7 @@ Time Simulator::now() const {
   if (tls_shard != kNoShard && tls_shard < shards_.size()) {
     return shards_[tls_shard].now;
   }
-  return is_sharded() ? global_now_ : shards_[0].now;
+  return global_now_;
 }
 
 EventId Simulator::push_event(std::uint32_t shard_idx, Time t, Callback cb) {
@@ -171,8 +175,7 @@ EventId Simulator::schedule_at(Time t, Callback cb) {
   if (tls_shard != kNoShard && tls_shard < shards_.size()) {
     return push_event(tls_shard, t, std::move(cb));
   }
-  if (is_sharded()) return schedule_global(t, std::move(cb));
-  return push_event(0, t, std::move(cb));
+  return schedule_global(t, std::move(cb));
 }
 
 EventId Simulator::schedule_after(Duration delay, Callback cb) {
@@ -198,10 +201,12 @@ EventId Simulator::schedule_on(std::uint32_t shard, Time t, Callback cb) {
 }
 
 EventId Simulator::schedule_global(Time t, Callback cb) {
-  if (!is_sharded()) return schedule_at(t, std::move(cb));
+  assert(t >= now() && "cannot schedule into the past");
+  // One shard: no between-windows phase to protect, and shard 0's heap
+  // keeps outside-context events FIFO with those scheduled by events.
+  if (!is_sharded()) return push_event(0, t, std::move(cb));
   assert(tls_shard == kNoShard &&
          "global events are scheduled from outside shard contexts");
-  assert(t >= global_now_ && "cannot schedule into the past");
   assert(cb && "empty callback");
   const std::uint64_t seq = next_global_seq_++;
   global_events_.emplace(std::make_pair(t, seq), std::move(cb));
@@ -268,75 +273,21 @@ const Simulator::Entry* Simulator::peek_live(Shard& sh) {
   return nullptr;
 }
 
-bool Simulator::step() {
-  assert(!is_sharded() && "step() drives the serial scheduler only");
-  Shard& sh = shards_[0];
-  while (!sh.heap.empty()) {
-    const Entry top = sh.heap.front();
-    std::pop_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
-    sh.heap.pop_back();
-    Slot& slot = sh.slots[top.slot];
-    if (slot.seq != top.seq) {  // cancelled tombstone
-      sh.free_slots.push_back(top.slot);
-      --sh.tombstones;
-      continue;
-    }
-    Callback cb = std::move(slot.cb);
-    release_slot(sh, top.slot);
-    --sh.live;
-    sh.now = top.time;
-    ++sh.executed;
-    cb();
-    return true;
-  }
-  return false;
-}
-
 std::uint64_t Simulator::run(std::uint64_t max_events) {
-  if (is_sharded()) {
-    return run_until_sharded(kNever, max_events,
-                             /*advance_to_deadline=*/false);
-  }
-  std::uint64_t n = 0;
-  while (n < max_events && step()) ++n;
-  return n;
+  return run_windows(kNever, max_events, /*advance_to_deadline=*/false);
 }
 
 std::uint64_t Simulator::run_until(Time deadline, std::uint64_t max_events) {
-  if (is_sharded()) {
-    return run_until_sharded(deadline, max_events,
-                             /*advance_to_deadline=*/true);
-  }
-  return run_until_serial(deadline, max_events);
+  return run_windows(deadline, max_events, /*advance_to_deadline=*/true);
 }
 
-std::uint64_t Simulator::run_until_serial(Time deadline,
-                                          std::uint64_t max_events) {
-  Shard& sh = shards_[0];
-  std::uint64_t n = 0;
-  while (n < max_events) {
-    const Entry* top = peek_live(sh);
-    if (top == nullptr || top->time > deadline) break;
-    step();
-    ++n;
-  }
-  // Advance the clock through the quiet remainder only when nothing due
-  // on or before the deadline is still pending. When the max_events cap
-  // stops the run mid-window, teleporting now() to the deadline would make
-  // the next step() run the clock backwards (and let fresh schedule_at
-  // calls insert ahead of already-due events).
-  const Entry* top = peek_live(sh);
-  if (top == nullptr || top->time > deadline) {
-    sh.now = std::max(sh.now, deadline);
-  }
-  return n;
-}
-
-void Simulator::run_window(std::uint32_t shard_idx, Time window_end) {
+std::uint64_t Simulator::run_window(std::uint32_t shard_idx,
+                                    Time window_end) {
   Shard& sh = shards_[shard_idx];
+  std::uint64_t ran = 0;
   for (;;) {
     const Entry* top = peek_live(sh);
-    if (top == nullptr || top->time > window_end) return;
+    if (top == nullptr || top->time > window_end) return ran;
     const Entry entry = *top;
     std::pop_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
     sh.heap.pop_back();
@@ -345,40 +296,43 @@ void Simulator::run_window(std::uint32_t shard_idx, Time window_end) {
     --sh.live;
     sh.now = entry.time;
     ++sh.executed;
+    ++ran;
     cb();
   }
 }
 
-void Simulator::dispatch_window(Time window_end) {
+std::uint64_t Simulator::dispatch_window(Time window_end) {
   in_window_ = true;
   window_end_ = window_end;
   const unsigned workers =
       std::min<unsigned>(workers_, static_cast<unsigned>(shards_.size()));
+  std::uint64_t ran = 0;
   if (workers <= 1) {
     for (std::uint32_t s = 0; s < shards_.size(); ++s) {
       ShardContextGuard ctx{s};
-      run_window(s, window_end);
+      ran += run_window(s, window_end);
     }
   } else {
     if (!pool_) pool_ = std::make_unique<Pool>(*this, workers);
-    pool_->run_generation(window_end);
+    ran = pool_->run_generation(window_end);
   }
   in_window_ = false;
   // Barrier: drain cross-shard handoffs in (source shard, enqueue order),
   // renumbering each into its destination's FIFO space — the fixed drain
   // order is what makes the merge independent of worker interleaving.
   for (Shard& src : shards_) {
+    if (src.outbox.empty()) continue;
     for (Handoff& h : src.outbox) {
       assert(h.time > window_end);
       push_event(h.dst_shard, h.time, std::move(h.cb));
     }
     src.outbox.clear();
   }
+  return ran;
 }
 
-std::uint64_t Simulator::run_until_sharded(Time deadline,
-                                           std::uint64_t max_events,
-                                           bool advance_to_deadline) {
+std::uint64_t Simulator::run_windows(Time deadline, std::uint64_t max_events,
+                                     bool advance_to_deadline) {
   std::uint64_t n = 0;
   for (;;) {
     // Globals due at the fence run first, in (time, seq) order; each may
@@ -413,14 +367,13 @@ std::uint64_t Simulator::run_until_sharded(Time deadline,
     }
     // Shard window [next_shard .. end]: bounded by the epoch lookahead so
     // cross-shard sends made inside it land strictly beyond it, and by the
-    // next global so barrier actions interleave at their exact tick.
-    const std::uint64_t before = executed_events();
+    // next global so barrier actions interleave at their exact tick. At
+    // K = 1 (one-tick epoch) the window is the single timestamp next_shard.
     Time end = next_shard + (epoch_ - 1);
     if (end < next_shard) end = kNever - 1;  // overflow clamp
     end = std::min(end, deadline);
     end = std::min(end, next_global);
-    dispatch_window(end);
-    n += executed_events() - before;
+    n += dispatch_window(end);
     global_now_ = end;
     if (n >= max_events) return n;  // window-granular cap: fence stays put
   }

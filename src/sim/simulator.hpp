@@ -12,22 +12,27 @@
 // (the previous design paid an unordered_map insert+erase per event plus
 // an unordered_set round trip per cancellation).
 //
-// Sharded mode (configure_shards): the event space splits into K logical
-// shards, each with its own heap, clock and sequence counter, advancing in
-// lock-step epoch windows of at most `epoch` virtual time. Within a window
-// shards execute independently (optionally on worker threads); an event
-// that schedules onto another shard goes into its source shard's outbox
-// and is drained at the window barrier in (source shard, enqueue order) —
-// a conservative parallel DES with the epoch as lookahead, so the
-// trajectory is a function of the *logical* shard count alone and is
-// byte-identical for any worker-thread count. The scheduling contract:
-// cross-shard events must land strictly after the current window
-// (guaranteed when epoch <= the minimum cross-shard link latency).
-// Events scheduled from outside any shard context (setup code, oracle
-// sampling, fault injection) become *global* events that run
-// single-threaded between windows, in (time, seq) order — the natural
-// barrier-action hook. With K == 1 (the default) every path reduces
-// exactly to the classic serial scheduler.
+// One kernel at every shard count. The event space splits into K logical
+// shards (configure_shards; K = 1 by default), each with its own heap,
+// clock and sequence counter, advancing in lock-step epoch windows of at
+// most `epoch` virtual time. Within a window shards execute independently
+// (optionally on worker threads); an event that schedules onto another
+// shard goes into its source shard's outbox and is drained at the window
+// barrier in (source shard, enqueue order) — a conservative parallel DES
+// with the epoch as lookahead, so the trajectory is a function of the
+// *logical* shard count alone and is byte-identical for any worker-thread
+// count. The scheduling contract: cross-shard events must land strictly
+// after the current window (guaranteed when epoch <= the minimum
+// cross-shard link latency). With K > 1, events scheduled from outside any
+// shard context (setup code, oracle sampling, fault injection) become
+// *global* events that run single-threaded between windows, in (time, seq)
+// order — the natural barrier-action hook.
+//
+// A single shard needs no lookahead, so K = 1 runs with an epoch of one
+// tick: every window is one timestamp, and the fence after it is the time
+// of the last event that ran. Outside-context events go straight to shard
+// 0's heap, so setup code and events that schedule for the same tick stay
+// FIFO in schedule order.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +50,7 @@ namespace rgb::sim {
 /// event's unique sequence number plus its storage slot; a stale handle
 /// (event already fired or cancelled, slot since reused) never matches the
 /// slot's current sequence, so cancelling it stays a harmless no-op.
-/// `shard` routes the cancel in sharded mode (kGlobalShard = a global
+/// `shard` routes the cancel to its heap (kGlobalShard = a global
 /// barrier event). Cross-shard handoff events return an invalid id — they
 /// are renumbered at the barrier and cannot be cancelled.
 struct EventId {
@@ -59,7 +64,7 @@ struct EventId {
 /// The shard whose window the calling thread is currently executing (also
 /// set inside Simulator::run_as), or 0 when the thread is outside any
 /// shard context. sim::Striped (sim/striped.hpp) reads it to pick the
-/// stripe the executing event writes; nothing else should. Serial
+/// stripe the executing event writes; nothing else should. Single-shard
 /// simulations always report 0.
 [[nodiscard]] std::uint32_t current_executing_shard();
 
@@ -69,8 +74,8 @@ struct EventId {
 /// need run_as wrapping.
 [[nodiscard]] bool in_shard_context();
 
-/// Discrete-event scheduler: serial by default, optionally sharded (see
-/// the file header for the parallel-window contract).
+/// Discrete-event scheduler: one shard by default, optionally K (see the
+/// file header for the window contract).
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -86,7 +91,8 @@ class Simulator {
   // --- sharding ------------------------------------------------------------
 
   /// Splits the event space into `count` logical shards advancing in
-  /// epoch windows of at most `epoch` (> 0) virtual time. Must be called
+  /// epoch windows of at most `epoch` (> 0) virtual time; one shard
+  /// ignores `epoch` and keeps windows of one tick. Must be called
   /// before anything is scheduled and before anything striped over this
   /// simulator is built (the Network, RgbSystem): they read shard_count()
   /// once, at construction. The trajectory depends on `count` and `epoch`,
@@ -101,24 +107,25 @@ class Simulator {
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
+  /// More than one shard: outside-context events become globals, and the
+  /// network forks one RNG stream per stripe.
   [[nodiscard]] bool is_sharded() const { return shards_.size() > 1; }
   [[nodiscard]] Duration epoch() const { return epoch_; }
 
   /// Runs `fn` in the context of `shard` (events it schedules land there,
-  /// now() reads that shard's clock). For facade calls into shard-owned
-  /// protocol state between windows. Serial mode: plain call.
+  /// now() reads that shard's clock, pulled up to the fence first). For
+  /// facade calls into shard-owned protocol state between windows.
   void run_as(std::uint32_t shard, const std::function<void()>& fn);
 
   // --- scheduling ----------------------------------------------------------
 
   /// Current virtual time. Starts at 0. Inside an event or run_as, the
-  /// executing shard's clock; otherwise the global fence (serial: the one
-  /// clock).
+  /// executing shard's clock; otherwise the fence between windows.
   [[nodiscard]] Time now() const;
 
   /// Schedules `cb` at absolute time `t` (must be >= now()). Routes to the
-  /// executing shard's heap; outside any shard context it becomes a global
-  /// event in sharded mode (exactly schedule_global), shard 0 serially.
+  /// executing shard's heap; outside any shard context it is exactly
+  /// schedule_global.
   EventId schedule_at(Time t, Callback cb);
 
   /// Schedules `cb` after `delay` from now.
@@ -131,8 +138,8 @@ class Simulator {
   EventId schedule_on(std::uint32_t shard, Time t, Callback cb);
 
   /// Schedules a single-threaded between-windows event (fault injection,
-  /// series/oracle sampling, facade workload). Serial mode: identical to
-  /// schedule_at, byte-for-byte.
+  /// series/oracle sampling, facade workload). With one shard there is no
+  /// between-windows phase to protect: the event goes to shard 0's heap.
   EventId schedule_global(Time t, Callback cb);
 
   /// Cancels a pending event. Cancelling an already-fired or invalid id is a
@@ -141,19 +148,17 @@ class Simulator {
 
   // --- running -------------------------------------------------------------
 
-  /// Executes the next pending event, if any. Returns false when the queue
-  /// is drained. Serial mode only.
-  bool step();
-
-  /// Runs until the queue drains or `max_events` have executed.
-  /// Returns the number of events executed.
+  /// Runs until the queue drains or `max_events` have executed. The cap is
+  /// checked between windows, so a window in progress always completes
+  /// (at K = 1, every event of the timestamp). Returns the number of
+  /// events executed.
   std::uint64_t run(std::uint64_t max_events = kDefaultMaxEvents);
 
   /// Runs events with timestamp <= `deadline`. Afterwards now() ==
-  /// max(now, deadline) — *unless* the `max_events` cap stopped the run
-  /// with events <= deadline still pending, in which case the clock stays
-  /// at the last executed event so it can never run backwards when those
-  /// events later fire (and never invalidates their schedule order).
+  /// max(now, deadline) — *unless* the `max_events` cap stopped the run,
+  /// in which case the fence stays at the end of the last window so it can
+  /// never run backwards when still-due events later fire (and never
+  /// invalidates their schedule order).
   std::uint64_t run_until(Time deadline,
                           std::uint64_t max_events = kDefaultMaxEvents);
 
@@ -212,7 +217,7 @@ class Simulator {
     std::vector<Handoff> outbox;
   };
 
-  struct Pool;  // worker threads (sharded mode, workers > 1)
+  struct Pool;  // worker threads (workers > 1)
 
   static constexpr Time kNever = std::numeric_limits<Time>::max();
 
@@ -222,20 +227,23 @@ class Simulator {
   const Entry* peek_live(Shard& sh);
   void purge_tombstones(Shard& sh);
   void release_slot(Shard& sh, std::uint32_t slot);
-  /// Executes one shard's events with time <= window_end.
-  void run_window(std::uint32_t shard_idx, Time window_end);
+  /// Executes one shard's events with time <= window_end; returns how
+  /// many ran.
+  std::uint64_t run_window(std::uint32_t shard_idx, Time window_end);
   /// Runs all shard windows [.., window_end], inline or on the pool, then
-  /// drains the outboxes in (source shard, enqueue order).
-  void dispatch_window(Time window_end);
+  /// drains the outboxes in (source shard, enqueue order). Returns the
+  /// events executed.
+  std::uint64_t dispatch_window(Time window_end);
   void stop_pool();
 
-  std::uint64_t run_until_serial(Time deadline, std::uint64_t max_events);
-  std::uint64_t run_until_sharded(Time deadline, std::uint64_t max_events,
-                                  bool advance_to_deadline);
+  /// The one run loop behind run() and run_until(): globals at the fence,
+  /// then the next window, until nothing is due by `deadline`.
+  std::uint64_t run_windows(Time deadline, std::uint64_t max_events,
+                            bool advance_to_deadline);
 
   std::vector<Shard> shards_{1};
-  Duration epoch_ = msec(1);
-  Time global_now_ = 0;  ///< sharded mode: the between-windows fence
+  Duration epoch_ = 1;   ///< one tick until configure_shards(K > 1, ...)
+  Time global_now_ = 0;  ///< the between-windows fence
   bool in_window_ = false;
   Time window_end_ = 0;
 

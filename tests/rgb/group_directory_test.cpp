@@ -47,7 +47,7 @@ TEST(GroupDirectory, ReadPathsDoNotInstantiateGroups) {
   EXPECT_FALSE(dir.lookup(GroupId{7}, Guid{10}).has_value());
   EXPECT_EQ(dir.group_count(), 1u);
   // table() is the write path and may create.
-  dir.table(GroupId{7});
+  (void)dir.table(GroupId{7});
   EXPECT_EQ(dir.group_count(), 2u);
 }
 
@@ -105,7 +105,7 @@ TEST(GroupDirectory, PackedDigestsAreGidAscendingAndSkipEmptyGroups) {
   GroupDirectory dir;
   dir.apply(member_op(9, OpKind::kMemberJoin, 1, 10, 100));
   dir.apply(member_op(4, OpKind::kMemberJoin, 2, 20, 100));
-  dir.table(GroupId{6});  // instantiated but empty: not packed
+  (void)dir.table(GroupId{6});  // instantiated but empty: not packed
 
   const std::vector<GroupDigest> packed = dir.packed_digests();
   ASSERT_EQ(packed.size(), 2u);

@@ -27,6 +27,69 @@ TEST(ShardedSimulator, OneShardReducesToSerialScheduler) {
   EXPECT_EQ(s.now(), msec(20));
 }
 
+TEST(ShardedSimulator, OneShardKeepsSetupAndEventSchedulesFifo) {
+  // At K = 1 an outside-context schedule goes to shard 0's heap, not to
+  // the globals map, so it interleaves with event-made schedules for the
+  // same tick in schedule order — whichever side scheduled first.
+  Simulator s;
+  std::vector<std::string> order;
+  s.schedule_at(msec(1), [&] {
+    s.schedule_at(msec(3), [&] { order.push_back("event@3"); });
+  });
+  s.run_until(msec(2));
+  const EventId setup =
+      s.schedule_at(msec(3), [&] { order.push_back("setup@3"); });
+  EXPECT_EQ(setup.shard, 0u);
+  s.schedule_at(msec(4), [&] {
+    s.schedule_at(msec(5), [&] { order.push_back("event@5"); });
+  });
+  s.schedule_at(msec(5), [&] { order.push_back("setup@5"); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"event@3", "setup@3",
+                                             "setup@5", "event@5"}));
+}
+
+TEST(ShardedSimulator, OneShardFenceIsTheLastEventTime) {
+  Simulator s;
+  EXPECT_EQ(s.epoch(), 1u);  // one-tick windows: one timestamp each
+  s.schedule_at(usec(1500), [] {});
+  s.schedule_at(usec(700), [] {});
+  s.run();
+  EXPECT_EQ(s.now(), usec(1500));
+  s.run_until(msec(2));
+  EXPECT_EQ(s.now(), msec(2));
+}
+
+/// A same-tick-heavy mini-workload on one shard; returns its (time, id)
+/// trace.
+std::vector<std::pair<Time, int>> one_shard_trace(Simulator& s) {
+  std::vector<std::pair<Time, int>> trace;
+  std::function<void(int)> tick = [&](int id) {
+    trace.emplace_back(s.now(), id);
+    if (id >= 60) return;
+    s.schedule_after(usec(static_cast<Time>(id % 3) * 400),
+                     [&tick, id] { tick(id + 7); });
+    if (id % 4 == 0) s.schedule_after(0, [&tick, id] { tick(id + 5); });
+  };
+  for (int i = 0; i < 4; ++i) {
+    s.schedule_at(usec(static_cast<Time>(i % 2) * 300),
+                  [&tick, i] { tick(i); });
+  }
+  s.run();
+  return trace;
+}
+
+TEST(ShardedSimulator, OneShardIgnoresTheConfiguredEpoch) {
+  Simulator plain;
+  const auto expected = one_shard_trace(plain);
+  EXPECT_GT(expected.size(), 20u);
+  Simulator configured;
+  configured.configure_shards(1, msec(5));
+  EXPECT_EQ(configured.epoch(), 1u);
+  EXPECT_EQ(one_shard_trace(configured), expected);
+  EXPECT_EQ(configured.now(), plain.now());
+}
+
 TEST(ShardedSimulator, ScheduleOnRoutesToItsShard) {
   Simulator s;
   s.configure_shards(3, msec(1));
@@ -126,6 +189,17 @@ TEST(ShardedSimulator, CancelWorksAcrossShardsBetweenWindows) {
   s.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(ShardedSimulator, FenceAfterDrainIsTheLastWindowEnd) {
+  // With K > 1 the fence moves window by window: after a drain it sits at
+  // the end of the last window, not at the last event's time.
+  Simulator s;
+  s.configure_shards(2, msec(1));
+  s.schedule_on(1, usec(2500), [] {});
+  s.schedule_on(0, usec(2200), [] {});
+  s.run();
+  EXPECT_EQ(s.now(), usec(2200) + msec(1) - 1);  // window [2.2ms, 3.2ms)
 }
 
 TEST(ShardedSimulator, PerShardClocksAndCountersAggregate) {

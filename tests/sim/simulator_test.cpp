@@ -102,8 +102,8 @@ TEST(Simulator, CancelAfterFireCannotSkewPendingCount) {
 }
 
 TEST(Simulator, PendingCountTracksGroundTruthUnderRandomCancels) {
-  // Drive random schedule / cancel (live, stale and double) / step
-  // interleavings and compare pending_events() against an exact shadow set:
+  // Drive random schedule / cancel (live, stale and double) / one-window
+  // run interleavings and compare pending_events() against an exact shadow set:
   // every callback removes its own id when it fires.
   Simulator s;
   common::RngStream rng{0xD15EA5E};
@@ -127,7 +127,7 @@ TEST(Simulator, PendingCountTracksGroundTruthUnderRandomCancels) {
       live_ids.erase(id.seq);
       s.cancel(id);
     } else {
-      s.step();
+      s.run(1);
     }
     ASSERT_EQ(s.pending_events(), live_ids.size()) << "after op " << op;
   }
@@ -192,12 +192,12 @@ TEST(Simulator, SlotReuseCannotResurrectStaleCancel) {
   EXPECT_TRUE(fired);
 }
 
-TEST(Simulator, StepReturnsFalseWhenDrained) {
+TEST(Simulator, RunOneReturnsZeroWhenDrained) {
   Simulator s;
-  EXPECT_FALSE(s.step());
+  EXPECT_EQ(s.run(1), 0u);
   s.schedule_at(0, [] {});
-  EXPECT_TRUE(s.step());
-  EXPECT_FALSE(s.step());
+  EXPECT_EQ(s.run(1), 1u);
+  EXPECT_EQ(s.run(1), 0u);
 }
 
 TEST(Simulator, RunUntilStopsAtDeadline) {

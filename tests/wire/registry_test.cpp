@@ -154,7 +154,7 @@ TEST(WireRegistry, FrameValidation) {
 TEST(WireRegistry, BadEnumRejected) {
   const auto& registry = WireRegistry::global();
   core::MhRequestMsg msg{core::MhRequestKind::kJoin, common::Guid{5},
-                         common::NodeId{}};
+                         common::NodeId{}, common::GroupId{}};
   std::vector<std::uint8_t> encoded;
   ASSERT_TRUE(registry.encode(core::kind::kMhRequest, msg, encoded));
   // Body layout: [frame][kind-enum u8]... — the enum byte follows the
