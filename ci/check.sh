@@ -369,10 +369,13 @@ rm -f "$tsan_bench"
 # build can run through a use-after-free harmlessly, so "0 violations"
 # here also means no memory error, no UB and no leak. halt_on_error and
 # -fno-sanitize-recover turn any report into a nonzero exit;
-# LeakSanitizer stays on.
-echo "== asan+ubsan fuzz gate =="
+# LeakSanitizer stays on. This is also the assert-enabled tier: the
+# RelWithDebInfo flags are overridden so NDEBUG stays undefined, and every
+# kernel, codec and directory assert runs under the fuzz gates and suites.
+echo "== asan+ubsan fuzz gate (asserts on) =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
 cmake --build "$ASAN_DIR" -j --target rgb_fuzz rgb_unit_tests rgb_obs_tests \

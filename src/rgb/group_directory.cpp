@@ -1,6 +1,7 @@
 #include "rgb/group_directory.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace rgb::core {
 
@@ -14,22 +15,44 @@ std::uint64_t mix(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
+
+/// One group's term of the combined digest; an empty table contributes 0.
+ViewDigest term_of(GroupId gid, const MemberTable& table) {
+  if (table.empty()) return {};
+  const ViewDigest d = table.digest();
+  return ViewDigest{mix(mix(gid.value()) ^ d.hash), d.count};
+}
 }  // namespace
 
-GroupDirectory::GroupState& GroupDirectory::state(GroupId gid) {
+GroupDirectory::Slot& GroupDirectory::slot(GroupId gid) {
   const auto [it, inserted] = groups_.try_emplace(gid);
   if (inserted) {
     it->second.mq = MessageQueue{aggregate_};
   }
-  return it->second;
+  return *it;
+}
+
+void GroupDirectory::mark_dirty(Slot& s) {
+  if (s.second.dirty) return;
+  s.second.dirty = true;
+  dirty_.push_back(&s);
 }
 
 void GroupDirectory::insert(MembershipOp op, Contributor contributor) {
-  if (op.is_member_op() && op.gid.valid()) {
-    state(op.gid).mq.insert(std::move(op), contributor);
-  } else {
-    ne_queue_.insert(std::move(op), contributor);
-  }
+  Slot* s = op.is_member_op() && op.gid.valid() ? &slot(op.gid) : nullptr;
+  MessageQueue& mq = s != nullptr ? s->second.mq : ne_queue_;
+  const bool was_empty = mq.empty();
+  const bool owed_acks = mq.has_orphaned_acks();
+  const std::uint64_t inserted = mq.ops_inserted();
+  const std::uint64_t collapsed = mq.ops_collapsed();
+  mq.insert(std::move(op), contributor);
+  ops_inserted_ += mq.ops_inserted() - inserted;
+  ops_collapsed_ += mq.ops_collapsed() - collapsed;
+  if (s == nullptr) return;
+  // A join-then-leave cancel can empty a queue as well as fill one.
+  if (was_empty && !mq.empty()) active_.insert(s);
+  if (!was_empty && mq.empty()) active_.erase(s);
+  if (!owed_acks && mq.has_orphaned_acks()) orphaned_.insert(s);
 }
 
 void GroupDirectory::insert_batch(std::vector<MembershipOp> ops) {
@@ -41,16 +64,14 @@ MessageQueue::Batch GroupDirectory::drain(std::size_t max_ops) {
   // gid order. Non-aggregating mode keeps the one-op-per-round contract of
   // the single queue: drain stops after the first op it obtains.
   MessageQueue::Batch batch;
-  const auto budget = [&]() -> std::size_t {
-    if (!aggregate_) return batch.ops.empty() ? 1 : 0;
-    if (max_ops == 0) return 0;  // unlimited
-    return max_ops > batch.ops.size() ? max_ops - batch.ops.size() : 0;
+  const auto full = [&] {
+    if (!aggregate_) return !batch.ops.empty();
+    return max_ops != 0 && batch.ops.size() >= max_ops;
   };
   const auto take_from = [&](MessageQueue& mq) {
-    if (mq.empty()) return;
-    if (!aggregate_ && !batch.ops.empty()) return;
-    if (aggregate_ && max_ops != 0 && batch.ops.size() >= max_ops) return;
-    MessageQueue::Batch part = mq.drain(budget());
+    // 0 = unlimited; a non-aggregating queue drains one op regardless.
+    const std::size_t budget = max_ops == 0 ? 0 : max_ops - batch.ops.size();
+    MessageQueue::Batch part = mq.drain(budget);
     for (MembershipOp& op : part.ops) batch.ops.push_back(std::move(op));
     for (Contributor& c : part.contributors) {
       if (std::find(batch.contributors.begin(), batch.contributors.end(), c) ==
@@ -59,50 +80,41 @@ MessageQueue::Batch GroupDirectory::drain(std::size_t max_ops) {
       }
     }
   };
-  take_from(ne_queue_);
-  for (auto& [gid, st] : groups_) take_from(st.mq);
+  if (!ne_queue_.empty()) take_from(ne_queue_);
+  for (auto it = active_.begin(); it != active_.end() && !full();) {
+    ++queue_visits_;
+    MessageQueue& mq = (*it)->second.mq;
+    take_from(mq);
+    it = mq.empty() ? active_.erase(it) : std::next(it);
+  }
   return batch;
 }
 
 std::vector<Contributor> GroupDirectory::take_orphaned_acks() {
   std::vector<Contributor> out = ne_queue_.take_orphaned_acks();
-  for (auto& [gid, st] : groups_) {
-    for (Contributor& c : st.mq.take_orphaned_acks()) {
+  for (Slot* s : orphaned_) {
+    ++queue_visits_;
+    for (Contributor& c : s->second.mq.take_orphaned_acks()) {
       if (std::find(out.begin(), out.end(), c) == out.end()) {
         out.push_back(c);
       }
     }
   }
+  orphaned_.clear();
   return out;
-}
-
-bool GroupDirectory::queue_empty() const {
-  if (!ne_queue_.empty()) return false;
-  for (const auto& [gid, st] : groups_) {
-    if (!st.mq.empty()) return false;
-  }
-  return true;
 }
 
 std::size_t GroupDirectory::queue_size() const {
   std::size_t n = ne_queue_.size();
-  for (const auto& [gid, st] : groups_) n += st.mq.size();
+  for (const Slot* s : active_) n += s->second.mq.size();
   return n;
 }
 
-std::uint64_t GroupDirectory::ops_inserted() const {
-  std::uint64_t n = ne_queue_.ops_inserted();
-  for (const auto& [gid, st] : groups_) n += st.mq.ops_inserted();
-  return n;
+MemberTable& GroupDirectory::table(GroupId gid) {
+  Slot& s = slot(gid);
+  mark_dirty(s);
+  return s.second.table;
 }
-
-std::uint64_t GroupDirectory::ops_collapsed() const {
-  std::uint64_t n = ne_queue_.ops_collapsed();
-  for (const auto& [gid, st] : groups_) n += st.mq.ops_collapsed();
-  return n;
-}
-
-MemberTable& GroupDirectory::table(GroupId gid) { return state(gid).table; }
 
 const MemberTable* GroupDirectory::table_if(GroupId gid) const {
   const auto it = groups_.find(gid);
@@ -111,7 +123,10 @@ const MemberTable* GroupDirectory::table_if(GroupId gid) const {
 
 bool GroupDirectory::apply(const MembershipOp& op) {
   if (!op.is_member_op() || !op.gid.valid()) return false;
-  return state(op.gid).table.apply(op);
+  Slot& s = slot(op.gid);
+  if (!s.second.table.apply(op)) return false;
+  mark_dirty(s);
+  return true;
 }
 
 std::vector<TableEntry> GroupDirectory::export_all() const {
@@ -151,7 +166,11 @@ bool GroupDirectory::import_all(const std::vector<TableEntry>& entries) {
       ++i;
     }
     if (!gid.valid()) continue;  // malformed: a group-less entry has no home
-    if (state(gid).table.import_entries(run)) changed = true;
+    Slot& s = slot(gid);
+    if (s.second.table.import_entries(run)) {
+      mark_dirty(s);
+      changed = true;
+    }
   }
   return changed;
 }
@@ -196,14 +215,26 @@ std::vector<GroupDigest> GroupDirectory::packed_digests() const {
 }
 
 ViewDigest GroupDirectory::combined_digest() const {
-  ViewDigest out;
-  for (const auto& [gid, st] : groups_) {
-    if (st.table.empty()) continue;
-    const ViewDigest d = st.table.digest();
-    out.hash ^= mix(mix(gid.value()) ^ d.hash);
-    out.count += d.count;
+  for (Slot* s : dirty_) {
+    GroupState& st = s->second;
+    digest_.hash ^= st.term.hash;
+    digest_.count -= st.term.count;
+    st.term = term_of(s->first, st.table);
+    digest_.hash ^= st.term.hash;
+    digest_.count += st.term.count;
+    st.dirty = false;
   }
-  return out;
+  dirty_.clear();
+#ifndef NDEBUG
+  ViewDigest folded;
+  for (const auto& [gid, st] : groups_) {
+    const ViewDigest t = term_of(gid, st.table);
+    folded.hash ^= t.hash;
+    folded.count += t.count;
+  }
+  assert(digest_ == folded);
+#endif
+  return digest_;
 }
 
 std::vector<GroupId> GroupDirectory::differing_groups(
@@ -306,11 +337,15 @@ std::size_t GroupDirectory::total_size() const {
   return n;
 }
 
-bool GroupDirectory::empty() const { return total_size() == 0; }
-
 void GroupDirectory::clear() {
+  active_.clear();
+  orphaned_.clear();
+  dirty_.clear();
   groups_.clear();
   ne_queue_ = MessageQueue{aggregate_};
+  ops_inserted_ = 0;
+  ops_collapsed_ = 0;
+  digest_ = {};
 }
 
 }  // namespace rgb::core

@@ -8,13 +8,29 @@
 // The directory is a routing facade, not a protocol layer: probe ticks,
 // token rounds, alerts/stability, reconcile and failure detection all stay
 // per-link in NetworkEntity — they just read and write group-scoped state
-// through here. Iteration is gid-ascending everywhere (std::map), which is
-// what keeps sharded runs byte-identical.
+// through here.
+//
+// Every queue and digest operation costs O(groups touched), not O(groups
+// held): a token or probe decision runs per op and per tick, and a hierarchy
+// may serve thousands of groups of which only a few change at a time.
+//   * the active set holds the groups whose queue is non-empty; it changes
+//     only when a queue goes empty <-> non-empty (an aggregation cancel can
+//     empty one), so queue_empty() is O(1) and drain() visits only it;
+//   * the orphan set holds the groups whose queue owes orphaned acks, filled
+//     at insert and emptied by take_orphaned_acks();
+//   * combined_digest() is XOR-maintained like MemberTable's own digest: each
+//     group caches its term, and a table mutation (apply, import_all, the
+//     mutable table()) only marks the group dirty; the next combined_digest()
+//     re-folds the dirty groups alone.
+// Both sets are gid-ordered and every full walk goes through the gid-ordered
+// map, so iteration stays gid-ascending everywhere, which is what keeps
+// sharded runs byte-identical.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -28,10 +44,20 @@ class GroupDirectory {
  public:
   explicit GroupDirectory(bool aggregate_mq = true)
       : aggregate_(aggregate_mq), ne_queue_(aggregate_mq) {}
+  // The active/orphan/dirty sets point into groups_' nodes: a copy would
+  // point into the source, a move keeps the nodes.
+  GroupDirectory(const GroupDirectory&) = delete;
+  GroupDirectory& operator=(const GroupDirectory&) = delete;
+  GroupDirectory(GroupDirectory&&) = default;
+  GroupDirectory& operator=(GroupDirectory&&) = default;
 
   struct GroupState {
     MemberTable table;
     MessageQueue mq;
+    /// This group's combined-digest term ({hash term, entry count}; zero
+    /// for an empty table), valid while !dirty.
+    ViewDigest term;
+    bool dirty = false;
   };
 
   // --- queue facade (routes by MembershipOp::gid) ---------------------------
@@ -51,14 +77,22 @@ class GroupDirectory {
   /// Orphaned acks aggregated across every queue.
   std::vector<Contributor> take_orphaned_acks();
 
-  [[nodiscard]] bool queue_empty() const;
+  [[nodiscard]] bool queue_empty() const {
+    return ne_queue_.empty() && active_.empty();
+  }
   [[nodiscard]] std::size_t queue_size() const;
-  [[nodiscard]] std::uint64_t ops_inserted() const;
-  [[nodiscard]] std::uint64_t ops_collapsed() const;
+  /// Lifetime counters summed over every queue (running, not re-summed).
+  [[nodiscard]] std::uint64_t ops_inserted() const { return ops_inserted_; }
+  [[nodiscard]] std::uint64_t ops_collapsed() const { return ops_collapsed_; }
+  /// Lifetime count of per-group queues visited by drain() and
+  /// take_orphaned_acks() — O(groups touched) per call, never O(groups).
+  [[nodiscard]] std::uint64_t queue_visits() const { return queue_visits_; }
 
   // --- table facade ---------------------------------------------------------
 
-  /// The group's table, created on demand.
+  /// The group's table, created on demand. Marks the group's digest term
+  /// dirty: the next combined_digest() re-reads the table once, so take a
+  /// fresh reference for a mutation made after that call.
   [[nodiscard]] MemberTable& table(GroupId gid);
   /// The group's table when it exists, else null (read paths must not
   /// instantiate groups as a side effect — that would skew packed digests).
@@ -90,6 +124,7 @@ class GroupDirectory {
 
   /// Order-independent digest over all groups, gid mixed into each group's
   /// hash — the O(1) "everything matches" fast path of a packed sync tick.
+  /// Re-folds only the groups changed since the last call.
   [[nodiscard]] ViewDigest combined_digest() const;
 
   /// Groups whose digest differs from the sender's packed set: mismatching
@@ -122,7 +157,8 @@ class GroupDirectory {
 
   /// Total entries across all groups.
   [[nodiscard]] std::size_t total_size() const;
-  [[nodiscard]] bool empty() const;
+  /// True when no group holds an entry (reads the maintained digest count).
+  [[nodiscard]] bool empty() const { return combined_digest().count == 0; }
   /// Number of instantiated (ever-touched) groups.
   [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
 
@@ -133,11 +169,30 @@ class GroupDirectory {
   void clear();
 
  private:
-  GroupState& state(GroupId gid);
+  using Slot = std::map<GroupId, GroupState>::value_type;
+  struct ByGid {
+    bool operator()(const Slot* a, const Slot* b) const {
+      return a->first < b->first;
+    }
+  };
+
+  Slot& slot(GroupId gid);
+  /// Queues the group for the next combined_digest() re-fold.
+  void mark_dirty(Slot& s);
 
   bool aggregate_;
   std::map<GroupId, GroupState> groups_;
   MessageQueue ne_queue_;  ///< NE ops (invalid gid) — shared, not group-scoped
+  std::set<Slot*, ByGid> active_;    ///< groups with a non-empty queue
+  std::set<Slot*, ByGid> orphaned_;  ///< groups whose queue owes orphaned acks
+  std::uint64_t ops_inserted_ = 0;
+  std::uint64_t ops_collapsed_ = 0;
+  std::uint64_t queue_visits_ = 0;
+  /// XOR of every group's cached term, plus the groups whose cached term is
+  /// stale (GroupState::dirty set, each listed once) until the next
+  /// combined_digest() re-folds them.
+  mutable ViewDigest digest_;
+  mutable std::vector<Slot*> dirty_;
 };
 
 }  // namespace rgb::core

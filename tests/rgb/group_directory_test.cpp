@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <vector>
 
 #include "rgb/types.hpp"
@@ -220,6 +223,307 @@ TEST(GroupDirectory, ClearEmptiesEverything) {
   EXPECT_TRUE(dir.queue_empty());
   EXPECT_EQ(dir.group_count(), 0u);
   EXPECT_EQ(dir.combined_digest().count, 0u);
+}
+
+TEST(GroupDirectory, QueueSweepsVisitOnlyTouchedGroups) {
+  // 1000 groups held, 2 of them busy: each sweep must touch the 2, not walk
+  // the 1000 (the per-op and per-tick cost of a token or probe decision).
+  GroupDirectory dir;
+  for (std::uint64_t gid = 1; gid <= 1000; ++gid) {
+    dir.apply(member_op(gid, OpKind::kMemberJoin, gid, 1, 100));
+  }
+  ASSERT_EQ(dir.group_count(), 1000u);
+
+  std::uint64_t seq = 1000;
+  for (const std::uint64_t gid : {17u, 503u}) {
+    // A pending op, plus a local join cancelled by a contributed leave: the
+    // leave's contributor is owed an orphaned ack.
+    dir.insert(member_op(gid, OpKind::kMemberJoin, ++seq, 2, 100));
+    const std::uint64_t join_seq = ++seq;
+    dir.insert(member_op(gid, OpKind::kMemberJoin, join_seq, 3, 100));
+    MembershipOp leave = member_op(gid, OpKind::kMemberLeave, ++seq, 3, 100);
+    leave.claim_seq = join_seq;
+    dir.insert(leave, Contributor{NodeId{gid}, gid});
+  }
+  EXPECT_EQ(dir.queue_size(), 2u);
+  EXPECT_EQ(dir.ops_collapsed(), 2u);
+
+  const std::uint64_t start = dir.queue_visits();
+  const std::vector<Contributor> acks = dir.take_orphaned_acks();
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(acks[0].ne, NodeId{17});
+  EXPECT_EQ(acks[1].ne, NodeId{503});
+  EXPECT_EQ(dir.queue_visits() - start, 2u);
+
+  const MessageQueue::Batch batch = dir.drain();
+  ASSERT_EQ(batch.ops.size(), 2u);
+  EXPECT_EQ(batch.ops[0].gid, GroupId{17});
+  EXPECT_EQ(batch.ops[1].gid, GroupId{503});
+  EXPECT_EQ(dir.queue_visits() - start, 4u);
+
+  // Nothing busy: both sweeps are free.
+  EXPECT_TRUE(dir.take_orphaned_acks().empty());
+  EXPECT_TRUE(dir.drain().empty());
+  EXPECT_EQ(dir.queue_visits() - start, 4u);
+}
+
+/// SplitMix64 finalizer, restated from the combined-digest definition.
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+/// The combined digest folded over every table.
+template <typename Tables, typename TableOf>
+ViewDigest fold_digest(const Tables& tables, TableOf table_of) {
+  ViewDigest out;
+  for (const auto& [gid, st] : tables) {
+    const MemberTable& tab = table_of(st);
+    if (tab.empty()) continue;
+    out.hash ^= splitmix(splitmix(gid.value()) ^ tab.digest().hash);
+    out.count += tab.digest().count;
+  }
+  return out;
+}
+
+/// Reference directory: the brute-force O(G) walks over gid-ordered
+/// {table, queue} pairs that the maintained sets and counters replace.
+struct ReferenceDirectory {
+  struct Group {
+    MemberTable table;
+    MessageQueue mq;
+  };
+  bool aggregate;
+  std::map<GroupId, Group> groups;
+
+  Group& group(GroupId gid) {
+    const auto [it, inserted] = groups.try_emplace(gid);
+    if (inserted) it->second.mq = MessageQueue{aggregate};
+    return it->second;
+  }
+
+  MessageQueue::Batch drain(std::size_t max_ops) {
+    MessageQueue::Batch batch;
+    for (auto& [gid, g] : groups) {
+      if (g.mq.empty()) continue;
+      if (!aggregate && !batch.ops.empty()) break;
+      if (aggregate && max_ops != 0 && batch.ops.size() >= max_ops) break;
+      const std::size_t budget =
+          !aggregate ? 1 : (max_ops == 0 ? 0 : max_ops - batch.ops.size());
+      MessageQueue::Batch part = g.mq.drain(budget);
+      for (MembershipOp& op : part.ops) batch.ops.push_back(op);
+      for (const Contributor& c : part.contributors) {
+        if (std::find(batch.contributors.begin(), batch.contributors.end(),
+                      c) == batch.contributors.end()) {
+          batch.contributors.push_back(c);
+        }
+      }
+    }
+    return batch;
+  }
+
+  std::vector<Contributor> take_orphaned_acks() {
+    std::vector<Contributor> out;
+    for (auto& [gid, g] : groups) {
+      for (const Contributor& c : g.mq.take_orphaned_acks()) {
+        if (std::find(out.begin(), out.end(), c) == out.end()) {
+          out.push_back(c);
+        }
+      }
+    }
+    return out;
+  }
+};
+
+void expect_same_ops(const std::vector<MembershipOp>& got,
+                     const std::vector<MembershipOp>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].gid, want[i].gid) << i;
+    EXPECT_EQ(got[i].uid, want[i].uid) << i;
+    EXPECT_EQ(got[i].kind, want[i].kind) << i;
+    EXPECT_EQ(got[i].seq, want[i].seq) << i;
+    EXPECT_EQ(got[i].member.access_proxy, want[i].member.access_proxy) << i;
+  }
+}
+
+/// Every maintained number against its brute-force fold over groups() and
+/// against the reference directory.
+void expect_matches(const GroupDirectory& dir, const ReferenceDirectory& ref) {
+  const ViewDigest folded = fold_digest(
+      dir.groups(),
+      [](const GroupDirectory::GroupState& st) -> const MemberTable& {
+        return st.table;
+      });
+  EXPECT_EQ(dir.combined_digest(), folded);
+  EXPECT_EQ(folded, fold_digest(ref.groups,
+                                [](const ReferenceDirectory::Group& g)
+                                    -> const MemberTable& { return g.table; }));
+  EXPECT_EQ(dir.empty(), folded.count == 0);
+
+  bool queue_empty = true;
+  std::size_t queue_size = 0;
+  std::uint64_t inserted = 0;
+  std::uint64_t collapsed = 0;
+  for (const auto& [gid, st] : dir.groups()) {
+    queue_empty = queue_empty && st.mq.empty();
+    queue_size += st.mq.size();
+    inserted += st.mq.ops_inserted();
+    collapsed += st.mq.ops_collapsed();
+  }
+  EXPECT_EQ(dir.queue_empty(), queue_empty);
+  EXPECT_EQ(dir.queue_size(), queue_size);
+  EXPECT_EQ(dir.ops_inserted(), inserted);
+  EXPECT_EQ(dir.ops_collapsed(), collapsed);
+  std::size_t ref_size = 0;
+  for (const auto& [gid, g] : ref.groups) ref_size += g.mq.size();
+  EXPECT_EQ(queue_size, ref_size);
+}
+
+TEST(GroupDirectory, MaintainedStateMatchesBruteForceFold) {
+  constexpr std::uint64_t kGroups = 60;
+  // Coverage: inserts whose cancel emptied a queue, and orphan sweeps that
+  // collected from more than one group.
+  int emptying_cancels = 0;
+  int multi_group_sweeps = 0;
+  for (const bool aggregate : {true, false}) {
+    SCOPED_TRACE(aggregate ? "aggregating" : "non-aggregating");
+    std::mt19937_64 rng{0x5EED};
+    const auto pick = [&](std::uint64_t n) { return rng() % n; };
+    GroupDirectory dir{aggregate};
+    ReferenceDirectory ref{aggregate, {}};
+    GroupDirectory donor;  // source of import_all payloads
+
+    // Per (gid, guid): the attachment epoch and AP of the newest join or
+    // handoff, so departures name the epoch they end (which is what lets a
+    // local join and its leave cancel in the queue).
+    std::map<std::pair<std::uint64_t, std::uint64_t>,
+             std::pair<std::uint64_t, std::uint64_t>>
+        attached;
+    std::uint64_t seq = 0;
+    const auto random_op = [&] {
+      const std::uint64_t gid = 1 + pick(kGroups);
+      const std::uint64_t guid = 1 + pick(3);
+      auto& [claim, ap] = attached[{gid, guid}];
+      const std::uint64_t roll = pick(10);
+      MembershipOp op;
+      if (roll < 4 || claim == 0) {
+        op = member_op(gid, OpKind::kMemberJoin, ++seq, guid, 100 + pick(4));
+        claim = op.seq;
+        ap = op.member.access_proxy.value();
+      } else if (roll < 7) {
+        op = member_op(gid, roll < 6 ? OpKind::kMemberLeave
+                                     : OpKind::kMemberFail,
+                       ++seq, guid, ap);
+        op.claim_seq = claim;
+      } else {
+        op = member_op(gid, OpKind::kMemberHandoff, ++seq, guid, 100 + pick(4));
+        op.claim_seq = op.seq;
+        op.old_ap = NodeId{ap};
+        claim = op.seq;
+        ap = op.member.access_proxy.value();
+      }
+      return op;
+    };
+    const auto random_contributor = [&] {
+      return pick(3) == 0 ? Contributor{}
+                          : Contributor{NodeId{1 + pick(5)}, pick(4)};
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t roll = pick(100);
+      if (roll < 35) {
+        MembershipOp op = random_op();
+        const Contributor c = random_contributor();
+        MessageQueue& mq = ref.group(op.gid).mq;
+        const bool was_empty = mq.empty();
+        mq.insert(op, c);
+        if (!was_empty && mq.empty()) ++emptying_cancels;
+        dir.insert(std::move(op), c);
+      } else if (roll < 45) {
+        std::vector<MembershipOp> ops;
+        for (std::uint64_t n = 1 + pick(6); n > 0; --n) {
+          ops.push_back(random_op());
+        }
+        for (const MembershipOp& op : ops) ref.group(op.gid).mq.insert(op);
+        dir.insert_batch(std::move(ops));
+      } else if (roll < 50) {
+        const std::size_t max_ops = std::vector<std::size_t>{0, 1, 3, 10}[pick(4)];
+        const MessageQueue::Batch got = dir.drain(max_ops);
+        const MessageQueue::Batch want = ref.drain(max_ops);
+        expect_same_ops(got.ops, want.ops);
+        EXPECT_EQ(got.contributors, want.contributors);
+      } else if (roll < 52) {
+        int owing = 0;
+        for (const auto& [gid, st] : dir.groups()) {
+          if (st.mq.has_orphaned_acks()) ++owing;
+        }
+        if (owing > 1) ++multi_group_sweeps;
+        EXPECT_EQ(dir.take_orphaned_acks(), ref.take_orphaned_acks());
+      } else if (roll < 80) {
+        const MembershipOp op = random_op();
+        EXPECT_EQ(dir.apply(op), ref.group(op.gid).table.apply(op));
+        donor.apply(random_op());
+      } else if (roll < 86) {
+        // A gid-major run from a few of the donor's groups.
+        std::vector<GroupId> gids;
+        for (std::uint64_t g = 1; g <= kGroups; g += 1 + pick(15)) {
+          gids.push_back(GroupId{g});
+        }
+        const std::vector<TableEntry> entries = donor.export_groups(gids);
+        for (GroupId gid : gids) {
+          std::vector<TableEntry> run;
+          for (const TableEntry& e : entries) {
+            if (e.gid == gid) run.push_back(e);
+          }
+          if (!run.empty()) ref.group(gid).table.import_entries(run);
+        }
+        dir.import_all(entries);
+      } else if (roll < 90) {
+        // Cancel burst: in a few groups a local join is cancelled by a
+        // contributed leave, so one sweep owes acks from several groups.
+        for (std::uint64_t n = 2 + pick(3); n > 0; --n) {
+          const std::uint64_t gid = 1 + pick(kGroups);
+          const MembershipOp join =
+              member_op(gid, OpKind::kMemberJoin, ++seq, 50, 100);
+          MembershipOp leave =
+              member_op(gid, OpKind::kMemberLeave, ++seq, 50, 100);
+          leave.claim_seq = join.seq;
+          const Contributor c = random_contributor();
+          for (const auto& [op, by] : {std::pair{join, Contributor{}},
+                                       std::pair{leave, c}}) {
+            ref.group(op.gid).mq.insert(op, by);
+            dir.insert(op, by);
+          }
+        }
+      } else if (roll < 98) {
+        // Mutable table(): a direct upsert or removal behind the facade.
+        const GroupId gid{1 + pick(kGroups)};
+        const Guid guid{1 + pick(6)};
+        if (pick(2) == 0) {
+          const MemberRecord rec{guid, NodeId{100 + pick(4)},
+                                 proto::MemberStatus::kOperational};
+          dir.table(gid).upsert(rec);
+          ref.group(gid).table.upsert(rec);
+        } else {
+          dir.table(gid).remove(guid);
+          ref.group(gid).table.remove(guid);
+        }
+      } else if (step % 7 == 0) {
+        dir.clear();
+        ref.groups.clear();
+        attached.clear();
+      }
+      expect_matches(dir, ref);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged at step " << step;
+      }
+    }
+  }
+  EXPECT_GT(emptying_cancels, 0);
+  EXPECT_GT(multi_group_sweeps, 0);
 }
 
 TEST(MemberGroups, StrideIsSortedDeterministicAndClamped) {

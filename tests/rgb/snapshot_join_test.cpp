@@ -153,23 +153,28 @@ TEST(SnapshotJoin, CorruptBlobRejectedCleanly) {
 
   // Craft a kSnapshot whose blob is bit-flipped mid-stream and whose
   // digest advertises a (fictional) different table so the receiver
-  // attempts the decode.
+  // attempts the decode. The blob is gid-stamped, as the production
+  // snapshot path builds it. Some flips are benign (they land on a field
+  // the codec cannot check, e.g. an AP id), so flip from the middle on
+  // until the decoder rejects the blob.
   SnapshotMsg msg;
-  rgb::wire::encode_snapshot(
-      sys.entity(sys.aps()[0])->ring_members().export_entries(), msg.blob);
+  rgb::wire::encode_snapshot(sys.entity(sys.aps()[0])->directory().export_all(),
+                             msg.blob);
   msg.digest = before.hash ^ 0x1;  // force a mismatch -> decode attempt
   msg.entry_count = before.count;
-  msg.blob[msg.blob.size() / 2] ^= 0x40;
-  const bool maybe_valid =
-      rgb::wire::decode_snapshot(msg.blob).ok();  // flip may be benign
+  std::size_t at = msg.blob.size() / 2;
+  for (; at < msg.blob.size(); ++at) {
+    msg.blob[at] ^= 0x40;
+    if (!rgb::wire::decode_snapshot(msg.blob).ok()) break;
+    msg.blob[at] ^= 0x40;
+  }
+  ASSERT_LT(at, msg.blob.size()) << "no mid-stream flip is rejected";
   network.send(net::Envelope{sys.aps()[0], receiver, kind::kSnapshot,
                              0, msg});
   simulator.run();
-  if (!maybe_valid) {
-    EXPECT_EQ(sys.metrics().snapshot_decode_errors.value(), 1u);
-    EXPECT_EQ(sys.entity(receiver)->ring_members().digest(), before)
-        << "a rejected blob must not touch the view";
-  }
+  EXPECT_EQ(sys.metrics().snapshot_decode_errors.value(), 1u);
+  EXPECT_EQ(sys.entity(receiver)->ring_members().digest(), before)
+      << "a rejected blob must not touch the view";
 
   // A genuine request/response transfer still reconciles: ask the sender
   // for a snapshot (the same message a pulling joiner emits).
