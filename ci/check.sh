@@ -364,8 +364,7 @@ rm -f "$tsan_bench"
 
 # AddressSanitizer + UndefinedBehaviorSanitizer gate over the fault
 # profiles that reconfigure rings from inside handlers (stability cuts,
-# partitions, churn), over the unit suite (which hosts the simulator
-# kernel and network tests) and over the observability suite: a release
+# partitions, churn) and over all five ctest binaries: a release
 # build can run through a use-after-free harmlessly, so "0 violations"
 # here also means no memory error, no UB and no leak. halt_on_error and
 # -fno-sanitize-recover turn any report into a nonzero exit;
@@ -379,7 +378,7 @@ cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
 cmake --build "$ASAN_DIR" -j --target rgb_fuzz rgb_unit_tests rgb_obs_tests \
-    > /dev/null
+    rgb_integration_tests rgb_check_tests rgb_wire_tests > /dev/null
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "$ASAN_DIR/rgb_fuzz" "${COMBINED[@]}" --quiet
@@ -396,5 +395,11 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "$ASAN_DIR/rgb_obs_tests" --gtest_brief=1
+# The end-to-end, conformance-check and wire-codec suites.
+for suite in rgb_integration_tests rgb_check_tests rgb_wire_tests; do
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+      "$ASAN_DIR/$suite" --gtest_brief=1
+done
 
 echo "OK"

@@ -45,6 +45,10 @@ NodeId elect_leader(const std::vector<NodeId>& roster) {
   }
   return best;
 }
+
+net::MessageKind token_kind(const Token& token) {
+  return token.ops.empty() ? kind::kProbe : kind::kToken;
+}
 }  // namespace
 
 NetworkEntity::NetworkEntity(NodeId id, NeRole role, int tier,
@@ -56,7 +60,106 @@ NetworkEntity::NetworkEntity(NodeId id, NeRole role, int tier,
       config_(config),
       metrics_(metrics),
       obs_(obs),
-      dir_(config.aggregate_mq) {}
+      dir_(config.aggregate_mq),
+      pending_leave_(
+          network, id, config.notify_timeout, config.max_notify_retx,
+          [this](std::uint64_t nid, std::monostate&, int) {
+            if (leader_.valid() && leader_ != this->id()) {
+              send(leader_, kind::kNeLeaveRequest,
+                   NeLeaveRequestMsg{this->id(), nid});
+            }
+          },
+          // Unacknowledged: stay in the ring; a later request may retry.
+          [](auto&&...) { return proto::Exhausted::kErase; }),
+      token_request_(
+          network, id, config.round_timeout, config.max_retx,
+          [this](auto&&, auto&&, int attempt) { send_token_request(attempt); },
+          // The leader is unresponsive: declare it faulty and fail over (or,
+          // under the stability layer, file an alert and let the cut/fallback
+          // machinery decide). Our queued ops go out once the repaired ring
+          // grants us the token; the chain ends first so on_mq_activity can
+          // start a new one.
+          [this](auto&&...) {
+            token_request_.cancel({});
+            if (leader_.valid() && leader_ != this->id()) {
+              report_suspect(leader_);
+            }
+            on_mq_activity();
+            return proto::Exhausted::kErase;
+          }),
+      inflight_hops_(
+          network, id, config.retx_timeout, config.max_retx,
+          [this](auto&&... a) { resend_hop(a...); },
+          [this](auto&&... a) { return hop_exhausted(a...); }),
+      pending_notifies_(
+          network, id, config.notify_timeout, config.max_notify_retx,
+          [this](std::uint64_t nid, PendingNotify& pending, int) {
+            metrics_.notify_retransmits.increment();
+            send(pending.dest,
+                 pending.downward ? kind::kNotifyChild : kind::kNotifyParent,
+                 NotifyMsg{pending.ops, nid, pending.downward});
+          },
+          [this](auto&&... a) { return notify_exhausted(a...); }),
+      pending_snapshot_pushes_(
+          network, id, config.notify_timeout, config.max_notify_retx,
+          // Retransmit the *current* table, not the stale blob: the
+          // receiver's import is monotone, so fresher is always at least as
+          // good, and the pending digest must track what was actually sent
+          // for the ack match. The cached payload makes this a
+          // shared-refcount send unless the table moved since the last
+          // encode.
+          [this](NodeId dest, PendingSnapshotPush& pending, int) {
+            metrics_.snapshot_retransmits.increment();
+            const net::Payload& payload = snapshot_payload();
+            pending.digest = snapshot_payload_digest_;
+            send(dest, kind::kSnapshot, payload);
+            metrics_.snapshots_sent.increment();
+          },
+          // The edge is unreachable past the budget; anti-entropy probing
+          // and the next flush remain the safety net (monotone import makes
+          // any later, fresher transfer equivalent).
+          [this](auto&&...) {
+            metrics_.snapshot_push_give_ups.increment();
+            return proto::Exhausted::kErase;
+          }),
+      pending_reconciles_(
+          network, id, config.notify_timeout, config.max_notify_retx,
+          [this](std::uint64_t rid, PendingReconcile& pending, int) {
+            metrics_.reconcile_retransmits.increment();
+            send(pending.dest, kind::kReconcile,
+                 ReconcileMsg{rid, pending.claims});
+          },
+          // The responder is unreachable: drop the exchange. The probe-tick
+          // reaffirmation pass keeps the same decision logic running against
+          // whatever anti-entropy brings in, so giving up loses promptness,
+          // not correctness.
+          [this](auto&&...) {
+            metrics_.reconcile_give_ups.increment();
+            return proto::Exhausted::kErase;
+          }),
+      // Re-ping until the ack, a cut, or the fallback resolves the alert: a
+      // loss burst that swallowed the first ping must not be enough to turn
+      // a live node into a cut member.
+      pending_alerts_(
+          network, id, config.retx_timeout,
+          proto::Retransmitter<NodeId, PendingAlert>::kUnbounded,
+          [this](NodeId suspect, PendingAlert& pending, int) {
+            send_alert_ping(suspect, pending.alert_id);
+          },
+          nullptr),
+      pending_verifies_(
+          network, id, config.retx_timeout, config.max_retx,
+          [this](NodeId suspect, PendingVerify& pending, int) {
+            send_alert_ping(suspect, pending.alert_id);
+          },
+          // Silent through the whole budget: the suspect no longer blocks
+          // the deadline cut. The entry stays (expired) so it is not
+          // re-verified.
+          [this](NodeId, PendingVerify& pending) {
+            pending.expired = true;
+            check_stability_cut();
+            return proto::Exhausted::kHold;
+          }) {}
 
 void NetworkEntity::note_group_count() {
   const std::size_t count = dir_.group_count();
@@ -127,20 +230,20 @@ void NetworkEntity::recompute_pointers() {
 // Sequence generators
 // --------------------------------------------------------------------------
 
-std::uint64_t NetworkEntity::next_op_seq() {
+MembershipOp NetworkEntity::new_op(OpKind kind) {
+  MembershipOp op;
+  op.kind = kind;
   // Time-major sequence: later ops (anywhere in the hierarchy) get larger
   // sequence numbers, which is what MemberTable's monotone apply relies on
   // to order handoff chains across different APs. The low 16 bits break
   // same-microsecond ties between NEs.
   const std::uint64_t base = (now() << 16) | (id().value() & 0xFFFFULL);
   op_seq_counter_ = std::max(op_seq_counter_ + 1, base);
-  return op_seq_counter_;
-}
-
-std::uint64_t NetworkEntity::next_op_uid() {
+  op.seq = op_seq_counter_;
   // Globally unique by construction: origin NE id in the high bits, a
   // per-node counter in the low 24 (16M ops per NE before wrap).
-  return (id().value() << 24) | (++op_uid_counter_ & 0xFFFFFFULL);
+  op.uid = (id().value() << 24) | (++op_uid_counter_ & 0xFFFFFFULL);
+  return op;
 }
 
 std::uint64_t NetworkEntity::next_round_id() {
@@ -156,10 +259,7 @@ std::uint64_t NetworkEntity::next_notify_id() {
 // --------------------------------------------------------------------------
 
 void NetworkEntity::local_member_join(GroupId gid, Guid mh) {
-  MembershipOp op;
-  op.kind = OpKind::kMemberJoin;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
+  MembershipOp op = new_op(OpKind::kMemberJoin);
   op.claim_seq = op.seq;  // a physical join starts a new attachment epoch
   op.gid = gid;
   op.member = MemberRecord{mh, id(), MemberStatus::kOperational};
@@ -186,10 +286,7 @@ std::uint64_t NetworkEntity::take_local_claim(GroupId gid, Guid mh) {
 }
 
 void NetworkEntity::local_member_leave(GroupId gid, Guid mh) {
-  MembershipOp op;
-  op.kind = OpKind::kMemberLeave;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
+  MembershipOp op = new_op(OpKind::kMemberLeave);
   op.claim_seq = take_local_claim(gid, mh);
   op.gid = gid;
   op.member = MemberRecord{mh, id(), MemberStatus::kDisconnected};
@@ -198,10 +295,7 @@ void NetworkEntity::local_member_leave(GroupId gid, Guid mh) {
 
 void NetworkEntity::local_member_handoff_in(GroupId gid, Guid mh,
                                             NodeId old_ap) {
-  MembershipOp op;
-  op.kind = OpKind::kMemberHandoff;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
+  MembershipOp op = new_op(OpKind::kMemberHandoff);
   op.claim_seq = op.seq;  // a handoff-in starts a new attachment epoch
   op.gid = gid;
   op.member = MemberRecord{mh, id(), MemberStatus::kOperational};
@@ -211,10 +305,7 @@ void NetworkEntity::local_member_handoff_in(GroupId gid, Guid mh,
 }
 
 void NetworkEntity::local_member_fail(GroupId gid, Guid mh) {
-  MembershipOp op;
-  op.kind = OpKind::kMemberFail;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
+  MembershipOp op = new_op(OpKind::kMemberFail);
   op.claim_seq = take_local_claim(gid, mh);
   op.gid = gid;
   op.member = MemberRecord{mh, id(), MemberStatus::kFailed};
@@ -229,10 +320,7 @@ void NetworkEntity::reannounce_member(GroupId gid, Guid mh,
   // physical attachment (a handoff the accusation raced with) in
   // record_precedes order. Deliberately does NOT touch local_attached_ —
   // a repair is not a new physical attachment.
-  MembershipOp op;
-  op.kind = OpKind::kMemberJoin;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
+  MembershipOp op = new_op(OpKind::kMemberJoin);
   op.claim_seq = claim_seq;
   op.gid = gid;
   op.member = MemberRecord{mh, id(), MemberStatus::kOperational};
@@ -266,11 +354,7 @@ void NetworkEntity::enqueue_local_ops(std::vector<MembershipOp> ops) {
   dir_.insert_batch(std::move(ops));
   note_group_count();
   metrics_.ops_aggregated.increment(dir_.ops_collapsed() - collapsed_before);
-  for (const Contributor& orphan : dir_.take_orphaned_acks()) {
-    HolderAckMsg ack{{orphan.notify_id}};
-    send(orphan.ne, kind::kHolderAck, std::move(ack));
-    metrics_.holder_acks.increment();
-  }
+  ack_orphans();
   // One activity kick for the whole batch: at a leader with a free token
   // the per-op path would race the first op out in its own round while the
   // rest of the batch was still being inserted.
@@ -282,13 +366,16 @@ void NetworkEntity::enqueue_op(MembershipOp op, Contributor contributor) {
   dir_.insert(std::move(op), contributor);
   note_group_count();
   metrics_.ops_aggregated.increment(dir_.ops_collapsed() - collapsed_before);
+  ack_orphans();
+  on_mq_activity();
+}
+
+void NetworkEntity::ack_orphans() {
   // Ops cancelled by aggregation still owe their contributors an ack.
   for (const Contributor& orphan : dir_.take_orphaned_acks()) {
-    HolderAckMsg ack{{orphan.notify_id}};
-    send(orphan.ne, kind::kHolderAck, std::move(ack));
+    send(orphan.ne, kind::kHolderAck, HolderAckMsg{{orphan.notify_id}});
     metrics_.holder_acks.increment();
   }
-  on_mq_activity();
 }
 
 // --------------------------------------------------------------------------
@@ -324,37 +411,20 @@ void NetworkEntity::on_mq_activity() {
 }
 
 void NetworkEntity::request_token() {
-  if (token_requested_) return;
-  token_requested_ = true;
-  request_retx_count_ = 0;
-  send_token_request();
+  if (token_requested() || !leader_.valid()) return;
+  send_token_request(0);
+  token_request_.arm({}, {});
 }
 
-void NetworkEntity::send_token_request() {
+void NetworkEntity::send_token_request(int attempt) {
   if (!leader_.valid()) {
-    token_requested_ = false;
+    token_request_.cancel({});
     return;
   }
   RGB_LOG(kDebug, "grant") << now() << " " << id() << " requests token from "
-                           << leader_ << " retx=" << request_retx_count_;
+                           << leader_ << " retx=" << attempt;
   last_request_activity_ = now();
   send(leader_, kind::kTokenRequest, TokenRequestMsg{id(), false});
-  request_retx_timer_ = set_timer(config_.round_timeout, [this]() {
-    if (!token_requested_) return;
-    if (++request_retx_count_ <= config_.max_retx) {
-      send_token_request();
-    } else {
-      // The leader is unresponsive: declare it faulty and fail over (or,
-      // under the stability layer, file an alert and let the cut/fallback
-      // machinery decide). Our queued ops go out once the repaired ring
-      // grants us the token.
-      token_requested_ = false;
-      if (leader_.valid() && leader_ != id()) {
-        report_suspect(leader_);
-      }
-      on_mq_activity();
-    }
-  });
 }
 
 void NetworkEntity::handle_token_request(const TokenRequestMsg& msg,
@@ -388,8 +458,7 @@ void NetworkEntity::handle_token_request(const TokenRequestMsg& msg,
 }
 
 void NetworkEntity::handle_token_grant(const TokenGrantMsg& msg) {
-  cancel_timer(request_retx_timer_);
-  token_requested_ = false;
+  token_request_.cancel({});
   if (dir_.queue_empty()) {
     // Nothing left to send (aggregation may have cancelled everything).
     send(leader_, kind::kTokenRelease, TokenReleaseMsg{msg.round_id});
@@ -695,82 +764,51 @@ void NetworkEntity::arm_round_watchdog(std::uint64_t round_id) {
 // --------------------------------------------------------------------------
 
 void NetworkEntity::send_token_to(NodeId target, Token token) {
-  const net::MessageKind kind =
-      token.ops.empty() ? kind::kProbe : kind::kToken;
+  send(target, token_kind(token), TokenMsg{token});
   const std::uint64_t round_id = token.round_id;
-  TokenMsg msg{token};
-  send(target, kind, std::move(msg));
-  InflightHop hop;
-  hop.token = std::move(token);
-  hop.target = target;
-  hop.timer = set_timer(config_.retx_timeout, [this, round_id]() {
-    on_token_retx_timeout(round_id);
-  });
-  inflight_hops_[round_id] = std::move(hop);
+  inflight_hops_.arm(round_id, InflightHop{std::move(token), target});
 }
 
 void NetworkEntity::handle_token_pass_ack(const TokenPassAckMsg& msg) {
-  const auto it = inflight_hops_.find(msg.round_id);
-  if (it == inflight_hops_.end()) return;
-  cancel_timer(it->second.timer);
-  inflight_hops_.erase(it);
+  inflight_hops_.ack(msg.round_id);
 }
 
-void NetworkEntity::on_token_retx_timeout(std::uint64_t round_id) {
-  const auto it = inflight_hops_.find(round_id);
-  if (it == inflight_hops_.end()) return;
-  InflightHop& hop = it->second;
-  if (++hop.retx <= config_.max_retx) {
-    metrics_.token_retransmits.increment();
+void NetworkEntity::resend_hop(std::uint64_t round_id, InflightHop& hop,
+                               int attempt) {
+  metrics_.token_retransmits.increment();
+  // Past the budget only the stability path (hop_exhausted) re-sends; those
+  // re-sends are counted but not flight-recorded.
+  if (attempt <= config_.max_retx) {
     obs_.flight.record(now(), id(), obs::FlightKind::kTokenRetx, round_id,
-                       static_cast<std::uint64_t>(hop.retx));
-    const net::MessageKind kind =
-        hop.token.ops.empty() ? kind::kProbe : kind::kToken;
-    TokenMsg msg{hop.token};
-    send(hop.target, kind, std::move(msg));
-    hop.timer = set_timer(config_.retx_timeout, [this, round_id]() {
-      on_token_retx_timeout(round_id);
-    });
-    return;
+                       static_cast<std::uint64_t>(attempt));
   }
-  if (config_.stability && in_roster(hop.target) && hop.target != id()) {
+  send(hop.target, token_kind(hop.token), TokenMsg{hop.token});
+}
+
+proto::Exhausted NetworkEntity::hop_exhausted(std::uint64_t round_id,
+                                              InflightHop& hop) {
+  const NodeId target = hop.target;
+  if (config_.stability && in_roster(target) && target != id()) {
     // Stability: file an alert and keep the hop alive at retx cadence.
     // Whatever resolves the suspect — a batched cut, a RepairMsg from a
     // peer, or this observer's own stability-timeout fallback — removes it
     // from the roster, and the next timeout falls through to the repair
     // and reroute below. Liveness stays bounded by stability_timeout.
-    const NodeId target = hop.target;
+    // report_suspect can complete a cut that re-routes this hop; the table
+    // then finds a re-armed entry and leaves it alone.
     report_suspect(target);
-    // report_suspect can complete a cut synchronously, and declare_cut
-    // erases every hop to a cut node (re-routing its token under a fresh
-    // hop with its own timer), so `hop` may dangle here: look it up again.
-    const auto again = inflight_hops_.find(round_id);
-    if (again == inflight_hops_.end() || again->second.target != target) {
-      return;
-    }
-    InflightHop& live = again->second;
-    metrics_.token_retransmits.increment();
-    const net::MessageKind kind =
-        live.token.ops.empty() ? kind::kProbe : kind::kToken;
-    TokenMsg msg{live.token};
-    send(target, kind, std::move(msg));
-    live.timer = set_timer(config_.retx_timeout, [this, round_id]() {
-      on_token_retx_timeout(round_id);
-    });
-    return;
+    return proto::Exhausted::kRetry;
   }
-  declare_faulty_and_repair(hop.target);
+  declare_faulty_and_repair(target);
   // The repair normally reroutes this hop. When it could not — the target
   // was already spliced out by an earlier repair or reform, so
   // declare_faulty_and_repair returned without touching the ring — the hop
   // must still not leak: an orphaned hop blocks its round forever, which
   // at a leader freezes the token (every later request queues unanswered
   // until the requesters falsely declare *us* faulty).
-  const auto orphan = inflight_hops_.find(round_id);
-  if (orphan == inflight_hops_.end()) return;
-  Token token = std::move(orphan->second.token);
-  cancel_timer(orphan->second.timer);
-  inflight_hops_.erase(orphan);
+  std::optional<InflightHop> orphan = inflight_hops_.ack(round_id);
+  if (!orphan) return proto::Exhausted::kErase;
+  Token token = std::move(orphan->token);
   if (token.holder == id()) {
     holding_round_ = true;
     my_round_id_ = token.round_id;
@@ -780,6 +818,7 @@ void NetworkEntity::on_token_retx_timeout(std::uint64_t round_id) {
   } else {
     send_token_to(token.holder, std::move(token));
   }
+  return proto::Exhausted::kErase;
 }
 
 // --------------------------------------------------------------------------
@@ -825,7 +864,7 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
     // consumed (the alert resolved) rather than left to fire again.
     stability_.forget(faulty);
     cancel_alert(faulty);
-    cancel_cut_verification(faulty);
+    pending_verifies_.cancel(faulty);
   }
 
   if (was_leader) {
@@ -857,10 +896,7 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
   std::vector<MembershipOp> ops;
   for (const NodeId faulty : cut) {
     const auto crashed_at = network().crashed_since(faulty);
-    MembershipOp ne_op;
-    ne_op.kind = OpKind::kNeFail;
-    ne_op.seq = next_op_seq();
-    ne_op.uid = next_op_uid();
+    MembershipOp ne_op = new_op(OpKind::kNeFail);
     ne_op.ne = faulty;
     ops.push_back(std::move(ne_op));
     std::unordered_set<Guid> detected;
@@ -873,10 +909,7 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
           obs_.tracer.on_member_detected(rec.guid, id(), now() - *crashed_at,
                                          now());
         }
-        MembershipOp m_op;
-        m_op.kind = OpKind::kMemberFail;
-        m_op.seq = next_op_seq();
-        m_op.uid = next_op_uid();
+        MembershipOp m_op = new_op(OpKind::kMemberFail);
         // A detector-inferred failure ends only the epoch it observed: if
         // the member has since re-attached elsewhere (a handoff this
         // accusation races with across a partition), the newer epoch
@@ -898,17 +931,10 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
   const auto in_cut = [&cut](NodeId n) {
     return std::find(cut.begin(), cut.end(), n) != cut.end();
   };
-  std::vector<Token> reroute;
-  for (auto it = inflight_hops_.begin(); it != inflight_hops_.end();) {
-    if (in_cut(it->second.target)) {
-      cancel_timer(it->second.timer);
-      reroute.push_back(std::move(it->second.token));
-      it = inflight_hops_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (Token& token : reroute) {
+  std::vector<InflightHop> reroute = inflight_hops_.extract_if(
+      [&](std::uint64_t, const InflightHop& hop) { return in_cut(hop.target); });
+  for (InflightHop& hop : reroute) {
+    Token& token = hop.token;
     if (in_cut(token.holder)) {
       token.holder = id();
       holding_round_ = true;
@@ -927,7 +953,7 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
     }
   }
 
-  if (was_leader && leader_ != id() && token_requested_) {
+  if (was_leader && leader_ != id() && token_requested()) {
     // Redirect the outstanding token request to the new leader.
     send(leader_, kind::kTokenRequest, TokenRequestMsg{id(), true});
   }
@@ -939,8 +965,7 @@ void NetworkEntity::adopt_leadership() {
   leader_ = id();
   token_free_ = !holding_round_ && inflight_hops_.empty();
   if (!token_free_ && !holding_round_) arm_round_watchdog(active_round_id_);
-  token_requested_ = false;
-  cancel_timer(request_retx_timer_);
+  token_request_.cancel({});
   if (parent_.valid()) {
     send(parent_, kind::kChildRebind, ChildRebindMsg{id()});
   }
@@ -1049,22 +1074,6 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
   }
 }
 
-NodeId NetworkEntity::successor_of(NodeId node) const {
-  const auto it = std::find(roster_.begin(), roster_.end(), node);
-  if (it == roster_.end() || roster_.size() < 2) return id();
-  const std::size_t i =
-      static_cast<std::size_t>(std::distance(roster_.begin(), it));
-  return roster_[(i + 1) % roster_.size()];
-}
-
-NodeId NetworkEntity::predecessor_of(NodeId node) const {
-  const auto it = std::find(roster_.begin(), roster_.end(), node);
-  if (it == roster_.end() || roster_.size() < 2) return id();
-  const std::size_t i =
-      static_cast<std::size_t>(std::distance(roster_.begin(), it));
-  return roster_[(i + roster_.size() - 1) % roster_.size()];
-}
-
 void NetworkEntity::handle_ring_reform(const RingReformMsg& msg, NodeId from) {
   obs_.tracer.on_view_change(obs::FlightKind::kRingReform, id(),
                              msg.leader.value(), msg.roster.size(), now());
@@ -1123,35 +1132,15 @@ void NetworkEntity::handle_child_rebind(const ChildRebindMsg& msg,
 void NetworkEntity::send_notify(NodeId dest, std::vector<MembershipOp> ops,
                                 bool downward) {
   const std::uint64_t nid = next_notify_id();
-  const net::MessageKind kind =
-      downward ? kind::kNotifyChild : kind::kNotifyParent;
   NotifyMsg msg{ops, nid, downward};
-  send(dest, kind, std::move(msg));
+  send(dest, downward ? kind::kNotifyChild : kind::kNotifyParent,
+       std::move(msg));
   metrics_.notifications_sent.increment();
-  PendingNotify pending;
-  pending.dest = dest;
-  pending.ops = std::move(ops);
-  pending.downward = downward;
-  pending.timer = set_timer(config_.notify_timeout,
-                            [this, nid]() { on_notify_retx_timeout(nid); });
-  pending_notifies_.emplace(nid, std::move(pending));
+  pending_notifies_.arm(nid, PendingNotify{dest, std::move(ops), downward});
 }
 
-void NetworkEntity::on_notify_retx_timeout(std::uint64_t notify_id) {
-  const auto it = pending_notifies_.find(notify_id);
-  if (it == pending_notifies_.end()) return;
-  PendingNotify& pending = it->second;
-  if (++pending.retx <= config_.max_notify_retx) {
-    metrics_.notify_retransmits.increment();
-    const net::MessageKind kind =
-        pending.downward ? kind::kNotifyChild : kind::kNotifyParent;
-    NotifyMsg msg{pending.ops, notify_id, pending.downward};
-    send(pending.dest, kind, std::move(msg));
-    pending.timer = set_timer(config_.notify_timeout, [this, notify_id]() {
-      on_notify_retx_timeout(notify_id);
-    });
-    return;
-  }
+proto::Exhausted NetworkEntity::notify_exhausted(std::uint64_t notify_id,
+                                                 PendingNotify& pending) {
   // The inter-ring edge is down: reflect it in ParentOK/ChildOK (paper
   // Section 4.2 semantics). Probing/merge may later restore the flag.
   RGB_LOG(kWarn, "notify") << now() << " " << id() << " gives up notify "
@@ -1164,22 +1153,16 @@ void NetworkEntity::on_notify_retx_timeout(std::uint64_t notify_id) {
   } else {
     parent_ok_ = false;
   }
-  pending_notifies_.erase(it);
+  return proto::Exhausted::kErase;
 }
 
 void NetworkEntity::handle_notify(const NotifyMsg& msg, NodeId from) {
   // Already-disseminated batch (our Holder-Ack got lost): ack immediately,
   // do not re-propagate.
-  bool all_known = true;
-  for (const MembershipOp& op : msg.ops) {
-    if (!already_disseminated(op.uid)) {
-      all_known = false;
-      break;
-    }
-  }
-  if (all_known) {
-    HolderAckMsg ack{{msg.notify_id}};
-    send(from, kind::kHolderAck, std::move(ack));
+  if (std::all_of(msg.ops.begin(), msg.ops.end(), [this](const auto& op) {
+        return already_disseminated(op.uid);
+      })) {
+    send(from, kind::kHolderAck, HolderAckMsg{{msg.notify_id}});
     metrics_.holder_acks.increment();
     return;
   }
@@ -1205,16 +1188,12 @@ void NetworkEntity::handle_notify(const NotifyMsg& msg, NodeId from) {
 
 void NetworkEntity::handle_holder_ack(const HolderAckMsg& msg) {
   for (const std::uint64_t nid : msg.notify_ids) {
-    if (pending_leave_notify_id_ != 0 && nid == pending_leave_notify_id_) {
+    if (pending_leave_.cancel(nid)) {
       // Our graceful departure is disseminated; detach from the ring.
-      pending_leave_notify_id_ = 0;
       clear_ring_state();
       continue;
     }
-    const auto it = pending_notifies_.find(nid);
-    if (it == pending_notifies_.end()) continue;
-    cancel_timer(it->second.timer);
-    pending_notifies_.erase(it);
+    pending_notifies_.ack(nid);
   }
 }
 
@@ -1247,18 +1226,17 @@ void NetworkEntity::on_probe_tick() {
     // token; the standard unanswered-request path declares the leader
     // faulty and fails over. Any ring traffic resets the counter.
     // Dead request chain: the retx timer died during a crash window
-    // (timers of a crashed node are dropped), leaving token_requested_
+    // (timers of a crashed node are dropped), leaving the request chain
     // set with nothing driving it — which would block this node's MQ
     // forever, even in a perfectly healthy ring. A live chain re-sends
     // every round_timeout, so this cannot trip on one; leader-failure
     // detection via retx exhaustion stays intact.
-    if (token_requested_ &&
+    if (token_requested() &&
         now() - last_request_activity_ > 2 * config_.round_timeout) {
-      token_requested_ = false;
-      cancel_timer(request_retx_timer_);
+      token_request_.cancel({});
       on_mq_activity();  // re-request if ops are still queued
     }
-    if (!holding_round_ && !token_requested_ &&
+    if (!holding_round_ && !token_requested() &&
         ++idle_probe_ticks_ >= kIdleTicksBeforeLeaderCheck) {
       idle_probe_ticks_ = 0;
       request_token();
@@ -1357,10 +1335,7 @@ void NetworkEntity::rearm_after_reconfigure() {
   // blocked, exactly when the post-heal ring needs the queued fragment ops
   // replayed. Reset the chain; on_mq_activity re-requests from the new
   // leader immediately.
-  if (token_requested_ && !is_leader()) {
-    cancel_timer(request_retx_timer_);
-    token_requested_ = false;
-  }
+  if (token_requested() && !is_leader()) token_request_.cancel({});
   // Timers die with a crashed node: a holder that crashed mid-round would
   // otherwise keep holding_round_ set forever with no watchdog to abandon
   // it, blocking its MQ permanently; same for a leader's reclaim
@@ -1398,39 +1373,12 @@ void NetworkEntity::run_reconcile_round() {
   obs_.flight.record(now(), id(), obs::FlightKind::kReconcileRound,
                      local_attached_.size(), target.value());
   const std::uint64_t rid = (id().value() << 24) | ++reconcile_counter_;
-  PendingReconcile pending;
-  pending.dest = target;
-  pending.claims = local_claims();
-  ReconcileMsg msg{rid, pending.claims};
+  std::vector<AttachClaim> claims = local_claims();
   RGB_LOG(kInfo, "reconcile")
-      << now() << " " << id() << " asserts " << msg.claims.size()
+      << now() << " " << id() << " asserts " << claims.size()
       << " claim(s) to " << target;
-  send(target, kind::kReconcile, std::move(msg));
-  pending.timer = set_timer(config_.notify_timeout, [this, rid]() {
-    on_reconcile_retx_timeout(rid);
-  });
-  pending_reconciles_[rid] = std::move(pending);
-}
-
-void NetworkEntity::on_reconcile_retx_timeout(std::uint64_t reconcile_id) {
-  const auto it = pending_reconciles_.find(reconcile_id);
-  if (it == pending_reconciles_.end()) return;
-  PendingReconcile& pending = it->second;
-  if (++pending.retx <= config_.max_notify_retx) {
-    metrics_.reconcile_retransmits.increment();
-    ReconcileMsg msg{reconcile_id, pending.claims};
-    send(pending.dest, kind::kReconcile, std::move(msg));
-    pending.timer = set_timer(config_.notify_timeout, [this, reconcile_id]() {
-      on_reconcile_retx_timeout(reconcile_id);
-    });
-    return;
-  }
-  // The responder is unreachable: drop the exchange. The probe-tick
-  // reaffirmation pass keeps the same decision logic running against
-  // whatever anti-entropy brings in, so giving up loses promptness, not
-  // correctness.
-  metrics_.reconcile_give_ups.increment();
-  pending_reconciles_.erase(it);
+  send(target, kind::kReconcile, ReconcileMsg{rid, claims});
+  pending_reconciles_.arm(rid, PendingReconcile{target, std::move(claims)});
 }
 
 void NetworkEntity::handle_reconcile(const ReconcileMsg& msg, NodeId from) {
@@ -1463,10 +1411,9 @@ void NetworkEntity::handle_reconcile(const ReconcileMsg& msg, NodeId from) {
 }
 
 void NetworkEntity::handle_reconcile_ack(const ReconcileAckMsg& msg) {
-  const auto it = pending_reconciles_.find(msg.reconcile_id);
-  if (it == pending_reconciles_.end()) return;  // stale or duplicate ack
-  cancel_timer(it->second.timer);
-  pending_reconciles_.erase(it);
+  if (!pending_reconciles_.cancel(msg.reconcile_id)) {
+    return;  // stale or duplicate ack
+  }
   dir_.import_all(msg.superseding);
   note_group_count();
   // Re-evaluate every claim against the responder-informed table: the
@@ -1489,6 +1436,8 @@ void NetworkEntity::anti_entropy_tick() {
   // ships the whole view every tick. Either way the ring-internal message
   // carries the ring shape: members adopt it when their (roster, leader)
   // drifted — the convergent replacement for a lost RingReform broadcast.
+  ViewSyncMsg cross_sync;
+  bool have_entries = false;
   if (config_.digest_anti_entropy) {
     // Multi-group steady-state tick (wire v4): one kSummary frame per link
     // carrying only the combined digest over every group — O(1) bytes per
@@ -1498,53 +1447,28 @@ void NetworkEntity::anti_entropy_tick() {
     // frame plus ~11B per group only while actually out of sync — the
     // amortization the bench.multigroup cell measures.
     const ViewDigest digest = dir_.combined_digest();
-    ViewSyncMsg ring_sync;
-    ring_sync.phase = ViewSyncMsg::Phase::kSummary;
-    ring_sync.digest = digest.hash;
-    ring_sync.entry_count = static_cast<std::uint32_t>(digest.count);
-    ring_sync.roster = roster_;
-    ring_sync.leader = leader_;
-    // One shared payload for the whole fan-out: k sends, one allocation.
-    const net::Payload ring_payload{std::move(ring_sync)};
-    for (const NodeId peer : roster_) {
-      if (peer == id()) continue;
-      send(peer, kind::kViewSync, ring_payload);
-    }
-    if (dir_.empty()) return;  // cross edges carry only view state
-    ViewSyncMsg cross_sync;
     cross_sync.phase = ViewSyncMsg::Phase::kSummary;
     cross_sync.digest = digest.hash;
     cross_sync.entry_count = static_cast<std::uint32_t>(digest.count);
-    const net::Payload cross_payload{std::move(cross_sync)};
-    if (parent_.valid() && tier_ - 1 >= config_.retain_tier) {
-      send(parent_, kind::kViewSync, cross_payload);
-    }
-    if (child_.valid() && config_.disseminate_down) {
-      send(child_, kind::kViewSync, cross_payload);
-    }
-    return;
+    have_entries = !dir_.empty();
+  } else {
+    // One export feeds both messages (it is an O(N log N) copy + sort).
+    cross_sync.phase = ViewSyncMsg::Phase::kFull;
+    cross_sync.entries = dir_.export_all();
+    cross_sync.reply_requested = true;
+    have_entries = !cross_sync.entries.empty();
   }
-
-  // One export feeds both messages (it is an O(N log N) copy + sort).
-  std::vector<TableEntry> entries = dir_.export_all();
-  const bool have_entries = !entries.empty();
-  ViewSyncMsg ring_sync;
-  ring_sync.phase = ViewSyncMsg::Phase::kFull;
-  ring_sync.entries = entries;
-  ring_sync.reply_requested = true;
+  ViewSyncMsg ring_sync = cross_sync;
   ring_sync.roster = roster_;
   ring_sync.leader = leader_;
+  // One shared payload for the whole fan-out: k sends, one allocation.
   const net::Payload ring_payload{std::move(ring_sync)};
   for (const NodeId peer : roster_) {
     if (peer == id()) continue;
     send(peer, kind::kViewSync, ring_payload);
   }
   if (!have_entries) return;  // cross-ring edges carry only view state
-  ViewSyncMsg sync;
-  sync.phase = ViewSyncMsg::Phase::kFull;
-  sync.entries = std::move(entries);
-  sync.reply_requested = true;
-  const net::Payload cross_payload{std::move(sync)};
+  const net::Payload cross_payload{std::move(cross_sync)};
   if (parent_.valid() && tier_ - 1 >= config_.retain_tier) {
     send(parent_, kind::kViewSync, cross_payload);
   }
@@ -1841,19 +1765,11 @@ void NetworkEntity::flush_snapshot() {
   // retransmission until the table moves again).
   const net::Payload& payload = snapshot_payload();
   const std::uint64_t digest = snapshot_payload_digest_;
-  const std::uint64_t entry_count = snapshot_payload_count_;
   const auto push = [&](NodeId dest) {
     send(dest, kind::kSnapshot, payload);
     metrics_.snapshots_sent.increment();
     // Flush-edge reliability: remember the push until its kSnapshotAck.
-    PendingSnapshotPush& pending = pending_snapshot_pushes_[dest];
-    cancel_timer(pending.timer);
-    pending.digest = digest;
-    pending.entry_count = entry_count;
-    pending.retx = 0;
-    pending.timer = set_timer(config_.notify_timeout, [this, dest]() {
-      on_snapshot_push_timeout(dest);
-    });
+    pending_snapshot_pushes_.arm(dest, PendingSnapshotPush{digest});
   };
   if (to_ring) {
     for (const NodeId peer : roster_) {
@@ -1864,43 +1780,14 @@ void NetworkEntity::flush_snapshot() {
   if (to_child) push(child_);
 }
 
-void NetworkEntity::on_snapshot_push_timeout(NodeId dest) {
-  const auto it = pending_snapshot_pushes_.find(dest);
-  if (it == pending_snapshot_pushes_.end()) return;
-  PendingSnapshotPush& pending = it->second;
-  if (++pending.retx > config_.max_notify_retx) {
-    // The edge is unreachable past the budget; anti-entropy probing and
-    // the next flush remain the safety net (monotone import makes any
-    // later, fresher transfer equivalent).
-    metrics_.snapshot_push_give_ups.increment();
-    pending_snapshot_pushes_.erase(it);
-    return;
-  }
-  metrics_.snapshot_retransmits.increment();
-  // Retransmit the *current* table, not the stale blob: the receiver's
-  // import is monotone, so fresher is always at least as good, and the
-  // pending digest must track what was actually sent for the ack match.
-  // The cached payload makes this a shared-refcount send unless the table
-  // actually moved since the last encode.
-  const net::Payload& payload = snapshot_payload();
-  pending.digest = snapshot_payload_digest_;
-  pending.entry_count = snapshot_payload_count_;
-  send(dest, kind::kSnapshot, payload);
-  metrics_.snapshots_sent.increment();
-  pending.timer = set_timer(config_.notify_timeout, [this, dest]() {
-    on_snapshot_push_timeout(dest);
-  });
-}
-
 void NetworkEntity::handle_snapshot_ack(const SnapshotAckMsg& msg,
                                         NodeId from) {
-  const auto it = pending_snapshot_pushes_.find(from);
-  if (it == pending_snapshot_pushes_.end()) return;
   // Only the ack of the *latest* push clears the pending entry — a stale
   // ack racing a fresher flush must not silence its retransmission.
-  if (it->second.digest != msg.digest) return;
-  cancel_timer(it->second.timer);
-  pending_snapshot_pushes_.erase(it);
+  const PendingSnapshotPush* pending = pending_snapshot_pushes_.find(from);
+  if (pending != nullptr && pending->digest == msg.digest) {
+    pending_snapshot_pushes_.ack(from);
+  }
 }
 
 void NetworkEntity::request_snapshot_from(NodeId peer) {
@@ -1976,10 +1863,7 @@ void NetworkEntity::handle_ne_join_request(const NeJoinRequestMsg& msg,
     return;
   }
   (void)from;
-  MembershipOp op;
-  op.kind = OpKind::kNeJoin;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
+  MembershipOp op = new_op(OpKind::kNeJoin);
   op.ne = msg.joiner;
   op.ne_after = id();
   op.born = now();
@@ -2017,9 +1901,10 @@ void NetworkEntity::request_ring_leave() {
   // until the Holder-Acknowledgement confirms the round completed — while
   // the round circulates, the other nodes splice us out, so the token never
   // visits us again.
-  pending_leave_notify_id_ = next_notify_id();
-  send(leader_, kind::kNeLeaveRequest,
-       NeLeaveRequestMsg{id(), pending_leave_notify_id_});
+  // The request is re-sent on notify_timeout until that ack.
+  const std::uint64_t nid = next_notify_id();
+  send(leader_, kind::kNeLeaveRequest, NeLeaveRequestMsg{id(), nid});
+  pending_leave_.arm(nid, {});
 }
 
 void NetworkEntity::clear_ring_state() {
@@ -2029,20 +1914,14 @@ void NetworkEntity::clear_ring_state() {
   next_ = previous_ = NodeId{};
   ring_ok_ = false;
   token_free_ = false;
-  token_requested_ = false;
   pending_grants_.clear();
-  cancel_timer(request_retx_timer_);
+  pending_leave_.clear();
+  token_request_.cancel({});
   cancel_timer(round_watchdog_);
   cancel_timer(holder_watchdog_);
   cancel_timer(snapshot_flush_timer_);
   cancel_timer(reconcile_timer_);
-  for (auto& [rid, pending] : pending_reconciles_) {
-    cancel_timer(pending.timer);
-  }
   pending_reconciles_.clear();
-  for (auto& [dest, pending] : pending_snapshot_pushes_) {
-    cancel_timer(pending.timer);
-  }
   pending_snapshot_pushes_.clear();
   snapshot_dirty_ring_ = false;
   snapshot_dirty_child_ = false;
@@ -2061,10 +1940,7 @@ void NetworkEntity::handle_ne_leave_request(const NeLeaveRequestMsg& msg,
     return;
   }
   (void)from;
-  MembershipOp op;
-  op.kind = OpKind::kNeLeave;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
+  MembershipOp op = new_op(OpKind::kNeLeave);
   op.ne = msg.leaver;
   op.born = now();
   const obs::SpanRecorder::Scope scope{
@@ -2114,9 +1990,8 @@ void NetworkEntity::report_suspect(NodeId suspect) {
 
 void NetworkEntity::raise_alert(NodeId suspect) {
   if (suspect == id() || !suspect.valid() || !in_roster(suspect)) return;
-  if (pending_alerts_.count(suspect) != 0) return;  // already filed
-  PendingAlert pa;
-  pa.alert_id = (id().value() << 24) | ++alert_counter_;
+  if (pending_alerts_.contains(suspect)) return;  // already filed
+  const std::uint64_t alert_id = (id().value() << 24) | ++alert_counter_;
   // Alerts converge at the ring leader's aggregator; when the leader
   // itself is the suspect they converge at the presumptive next leader
   // instead, so the NE-level cut decision survives leader death.
@@ -2128,13 +2003,12 @@ void NetworkEntity::raise_alert(NodeId suspect) {
     }
     aggregator = elect_leader(rest);
   }
-  pa.aggregator = aggregator;
   metrics_.stability_alerts.increment();
   obs_.flight.record(now(), id(), obs::FlightKind::kAlertRaised,
-                     suspect.value(), pa.alert_id);
+                     suspect.value(), alert_id);
   RGB_LOG(kDebug, "stability") << now() << " " << id() << " alerts on "
                                << suspect << " to " << aggregator;
-  AlertMsg alert{id(), pa.alert_id, {suspect}, false};
+  AlertMsg alert{id(), alert_id, {suspect}, false};
   if (aggregator == id()) {
     observe_alert(suspect, id());
   } else if (aggregator.valid()) {
@@ -2143,43 +2017,28 @@ void NetworkEntity::raise_alert(NodeId suspect) {
   // Liveness counter-check: the suspect itself gets the alert too; a live
   // one answers kAlertAck and the accusation is withdrawn before any cut.
   send(suspect, kind::kAlert, std::move(alert));
-  const NodeId s = suspect;
-  pa.ping_timer = set_timer(config_.retx_timeout,
-                            [this, s]() { on_alert_ping_timeout(s); });
-  const std::uint64_t aid = pa.alert_id;
-  pa.fallback_timer = set_timer(config_.stability_timeout, [this, s, aid]() {
-    on_stability_fallback(s, aid);
-  });
-  pending_alerts_.emplace(suspect, std::move(pa));
+  PendingAlert& pending =
+      pending_alerts_.arm(suspect, PendingAlert{alert_id, aggregator});
+  pending.fallback_timer =
+      set_timer(config_.stability_timeout, [this, suspect, alert_id]() {
+        on_stability_fallback(suspect, alert_id);
+      });
+}
+
+void NetworkEntity::send_alert_ping(NodeId suspect, std::uint64_t alert_id) {
+  send(suspect, kind::kAlert, AlertMsg{id(), alert_id, {suspect}, false});
 }
 
 void NetworkEntity::cancel_alert(NodeId suspect) {
-  const auto it = pending_alerts_.find(suspect);
-  if (it == pending_alerts_.end()) return;
-  cancel_timer(it->second.ping_timer);
-  cancel_timer(it->second.fallback_timer);
-  pending_alerts_.erase(it);
-}
-
-void NetworkEntity::on_alert_ping_timeout(NodeId suspect) {
-  const auto it = pending_alerts_.find(suspect);
-  if (it == pending_alerts_.end()) return;
-  // Re-ping until the ack, a cut, or the fallback resolves the alert: a
-  // loss burst that swallowed the first ping must not be enough to turn a
-  // live node into a cut member.
-  AlertMsg ping{id(), it->second.alert_id, {suspect}, false};
-  send(suspect, kind::kAlert, std::move(ping));
-  it->second.ping_timer = set_timer(config_.retx_timeout, [this, suspect]() {
-    on_alert_ping_timeout(suspect);
-  });
+  std::optional<PendingAlert> pending = pending_alerts_.ack(suspect);
+  if (pending) cancel_timer(pending->fallback_timer);
 }
 
 void NetworkEntity::on_stability_fallback(NodeId suspect,
                                           std::uint64_t alert_id) {
-  const auto it = pending_alerts_.find(suspect);
-  if (it == pending_alerts_.end() || it->second.alert_id != alert_id) return;
-  cancel_timer(it->second.ping_timer);
-  pending_alerts_.erase(it);
+  const PendingAlert* pending = pending_alerts_.find(suspect);
+  if (pending == nullptr || pending->alert_id != alert_id) return;
+  pending_alerts_.cancel(suspect);
   if (!in_roster(suspect)) return;  // a cut or repair resolved it already
   // No cut arrived within the stability timeout: degrade to the proven
   // single-observer declare so detection latency stays bounded and
@@ -2212,27 +2071,25 @@ void NetworkEntity::handle_alert(const AlertMsg& msg, NodeId from) {
 }
 
 void NetworkEntity::handle_alert_ack(const AlertAckMsg& msg, NodeId /*from*/) {
-  const auto vit = pending_verifies_.find(msg.responder);
-  if (vit != pending_verifies_.end() && vit->second.alert_id == msg.alert_id) {
+  const PendingVerify* verify = pending_verifies_.find(msg.responder);
+  if (verify != nullptr && verify->alert_id == msg.alert_id) {
     // Pre-cut verification answered: the suspect is alive, its pending
     // observation was a stale flap (a lost retraction) — drop it outright.
     metrics_.stability_suppressed_flaps.increment();
     RGB_LOG(kDebug, "stability") << now() << " " << id() << " verified "
                                  << msg.responder << " live; cut averted";
-    cancel_cut_verification(msg.responder);
+    pending_verifies_.cancel(msg.responder);
     stability_.forget(msg.responder);
     arm_stability_cut_timer();
     return;
   }
-  const auto it = pending_alerts_.find(msg.responder);
-  if (it == pending_alerts_.end() || it->second.alert_id != msg.alert_id) {
-    return;
-  }
+  const PendingAlert* pending = pending_alerts_.find(msg.responder);
+  if (pending == nullptr || pending->alert_id != msg.alert_id) return;
   // The suspect answered: suppress the flap — cancel locally and retract
   // at the aggregator so a pending cut loses this observation.
   metrics_.stability_suppressed_flaps.increment();
-  const NodeId aggregator = it->second.aggregator;
-  const std::uint64_t alert_id = it->second.alert_id;
+  const NodeId aggregator = pending->aggregator;
+  const std::uint64_t alert_id = pending->alert_id;
   cancel_alert(msg.responder);
   if (aggregator == id()) {
     stability_.retract(msg.responder, id());
@@ -2264,13 +2121,15 @@ void NetworkEntity::check_stability_cut() {
     // suspects that stay silent through the retx budget are cut.
     if (!stability_.corroborated(k)) {
       start_cut_verifications();
-      if (cut_verifies_in_flight()) {
+      if (pending_verifies_.any_of([](NodeId, const PendingVerify& pending) {
+            return !pending.expired;
+          })) {
         arm_stability_cut_timer();
         return;
       }
     }
     const StabilityAggregator::Cut cut = stability_.take();
-    for (const NodeId suspect : cut.suspects) cancel_cut_verification(suspect);
+    for (const NodeId suspect : cut.suspects) pending_verifies_.cancel(suspect);
     metrics_.stability_cuts.increment();
     metrics_.stability_batched_failures.increment(cut.suspects.size());
     obs_.flight.record(now(), id(), obs::FlightKind::kCutApplied,
@@ -2286,54 +2145,16 @@ void NetworkEntity::check_stability_cut() {
 bool NetworkEntity::start_cut_verifications() {
   bool started = false;
   for (const NodeId suspect : stability_.suspects()) {
-    if (pending_verifies_.count(suspect) != 0) continue;
-    PendingVerify pv;
-    pv.alert_id = (id().value() << 24) | ++alert_counter_;
-    pv.pings_left = config_.max_retx;
+    if (pending_verifies_.contains(suspect)) continue;
+    const std::uint64_t alert_id = (id().value() << 24) | ++alert_counter_;
     RGB_LOG(kDebug, "stability") << now() << " " << id()
                                  << " verifies suspect " << suspect
                                  << " before a deadline cut";
-    AlertMsg ping{id(), pv.alert_id, {suspect}, false};
-    send(suspect, kind::kAlert, std::move(ping));
-    const NodeId s = suspect;
-    pv.ping_timer = set_timer(config_.retx_timeout,
-                              [this, s]() { on_verify_ping_timeout(s); });
-    pending_verifies_.emplace(suspect, std::move(pv));
+    send_alert_ping(suspect, alert_id);
+    pending_verifies_.arm(suspect, PendingVerify{alert_id});
     started = true;
   }
   return started;
-}
-
-bool NetworkEntity::cut_verifies_in_flight() const {
-  for (const auto& [suspect, pv] : pending_verifies_) {
-    if (!pv.expired) return true;
-  }
-  return false;
-}
-
-void NetworkEntity::on_verify_ping_timeout(NodeId suspect) {
-  const auto it = pending_verifies_.find(suspect);
-  if (it == pending_verifies_.end() || it->second.expired) return;
-  if (it->second.pings_left <= 0) {
-    // Silent through the whole budget: the suspect no longer blocks the
-    // deadline cut. The entry stays (expired) so it is not re-verified.
-    it->second.expired = true;
-    check_stability_cut();
-    return;
-  }
-  --it->second.pings_left;
-  AlertMsg ping{id(), it->second.alert_id, {suspect}, false};
-  send(suspect, kind::kAlert, std::move(ping));
-  it->second.ping_timer = set_timer(config_.retx_timeout, [this, suspect]() {
-    on_verify_ping_timeout(suspect);
-  });
-}
-
-void NetworkEntity::cancel_cut_verification(NodeId suspect) {
-  const auto it = pending_verifies_.find(suspect);
-  if (it == pending_verifies_.end()) return;
-  cancel_timer(it->second.ping_timer);
-  pending_verifies_.erase(it);
 }
 
 void NetworkEntity::arm_stability_cut_timer() {
@@ -2345,13 +2166,9 @@ void NetworkEntity::arm_stability_cut_timer() {
 }
 
 void NetworkEntity::reset_stability_state() {
-  for (auto& [suspect, pending] : pending_alerts_) {
-    cancel_timer(pending.ping_timer);
+  for (PendingAlert& pending :
+       pending_alerts_.extract_if([](auto&&...) { return true; })) {
     cancel_timer(pending.fallback_timer);
-  }
-  pending_alerts_.clear();
-  for (auto& [suspect, pending] : pending_verifies_) {
-    cancel_timer(pending.ping_timer);
   }
   pending_verifies_.clear();
   stability_.clear();
@@ -2444,11 +2261,8 @@ void NetworkEntity::flush_silent_members() {
     obs_.tracer.on_member_detected(mh, id(), now() - pending.last_heard,
                                    now());
     for (const GroupId gid : gids) {
-      MembershipOp op;
-      op.kind = OpKind::kMemberFail;
+      MembershipOp op = new_op(OpKind::kMemberFail);
       op.gid = gid;
-      op.seq = next_op_seq();
-      op.uid = next_op_uid();
       op.claim_seq = take_local_claim(gid, mh);
       op.member = MemberRecord{mh, id(), MemberStatus::kFailed};
       ops.push_back(std::move(op));

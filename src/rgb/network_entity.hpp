@@ -17,14 +17,20 @@
 //   * when the token returns to the holder, the holder acknowledges the
 //     contributors (Holder-Acknowledgement) and releases the token.
 //
-// Fault tolerance: every token hop is acknowledged and retransmitted; after
-// max_retx failures the sender declares its successor faulty, splices it out
-// of the ring (the paper's "locally repaired by excluding the faulty node"),
-// emits NE-Failure plus Member-Failure ops for the members stranded at the
-// failed NE, and re-routes the token. Leader failures are detected through
-// unanswered token requests and resolved by a deterministic leadership rule
-// (lowest NodeId among alive roster members). Partition probing and ring
-// merging — the paper's future work — are implemented as extensions.
+// Fault tolerance: every acknowledged send is a proto::Retransmitter table
+// (re-send on timeout within a budget, decide on exhaustion, stop on ack).
+// Its eight users here: token hops (pass-ack), the token request chain
+// (grant), inter-ring notifications and a non-leader's NE-Leave request
+// (Holder-Acknowledgement), reconcile claims, snapshot pushes, and the
+// stability plane's alert and pre-cut verification pings (kAlertAck). After
+// max_retx unacknowledged re-sends of a hop the sender declares its
+// successor faulty, splices it out of the ring (the paper's "locally
+// repaired by excluding the faulty node"), emits NE-Failure plus
+// Member-Failure ops for the members stranded at the failed NE, and
+// re-routes the token. Leader failures are detected through unanswered
+// token requests and resolved by a deterministic leadership rule (lowest
+// NodeId among alive roster members). Partition probing and ring merging —
+// the paper's future work — are implemented as extensions.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +39,14 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 #include <vector>
 
 #include <map>
 
 #include "obs/obs.hpp"
 #include "proto/process.hpp"
+#include "proto/retransmit.hpp"
 #include "rgb/group_directory.hpp"
 #include "rgb/member_table.hpp"
 #include "rgb/message_queue.hpp"
@@ -149,7 +157,6 @@ class NetworkEntity : public proto::Process {
 
   [[nodiscard]] bool queue_empty() const { return dir_.queue_empty(); }
   [[nodiscard]] std::size_t queue_size() const { return dir_.queue_size(); }
-  [[nodiscard]] bool round_in_flight() const { return holding_round_; }
   [[nodiscard]] bool token_parked_here() const {
     return is_leader() && token_free_;
   }
@@ -162,15 +169,17 @@ class NetworkEntity : public proto::Process {
   /// instead of the first op racing a round out ahead of the rest.
   void enqueue_local_ops(std::vector<MembershipOp> ops);
   void enqueue_op(MembershipOp op, Contributor contributor);
+  /// Acks the contributors of ops that aggregation cancelled.
+  void ack_orphans();
   void on_mq_activity();
-  std::uint64_t next_op_seq();
-  std::uint64_t next_op_uid();
+  /// A fresh op of `kind`, stamped with this NE's next seq and uid.
+  MembershipOp new_op(OpKind kind);
   std::uint64_t next_round_id();
   std::uint64_t next_notify_id();
 
   // --- round engine ----------------------------------------------------------
   void request_token();
-  void send_token_request();
+  void send_token_request(int attempt);
   void clear_ring_state();
   void handle_token_request(const TokenRequestMsg& msg, NodeId from);
   void handle_token_grant(const TokenGrantMsg& msg);
@@ -180,7 +189,6 @@ class NetworkEntity : public proto::Process {
   void handle_token(TokenMsg msg, NodeId from);
   void apply_ops_and_notify(const Token& token);
   void complete_round(const Token& token);
-  void release_token_to_leader();
   void grant_next();
   void arm_round_watchdog(std::uint64_t round_id);
 
@@ -201,8 +209,6 @@ class NetworkEntity : public proto::Process {
   void declare_cut(const std::vector<NodeId>& suspects);
   void handle_repair(const RepairMsg& msg, NodeId from);
   void apply_ne_op(const MembershipOp& op);
-  [[nodiscard]] NodeId successor_of(NodeId node) const;
-  [[nodiscard]] NodeId predecessor_of(NodeId node) const;
   void recompute_pointers();
   void adopt_leadership();
   void remove_from_roster(NodeId node);
@@ -210,11 +216,9 @@ class NetworkEntity : public proto::Process {
   void handle_child_rebind(const ChildRebindMsg& msg, NodeId from);
 
   // --- inter-ring notifications ---------------------------------------------------
-  void send_notifications(const std::vector<MembershipOp>& ops);
   void send_notify(NodeId dest, std::vector<MembershipOp> ops, bool downward);
   void handle_notify(const NotifyMsg& msg, NodeId from);
   void handle_holder_ack(const HolderAckMsg& msg);
-  void on_notify_retx_timeout(std::uint64_t notify_id);
 
   // --- probing & merge (extension) ---------------------------------------------
   void on_probe_tick();
@@ -255,7 +259,6 @@ class NetworkEntity : public proto::Process {
   void handle_snapshot_request(const SnapshotRequestMsg& msg, NodeId from);
   void handle_snapshot(const SnapshotMsg& msg, NodeId from);
   void handle_snapshot_ack(const SnapshotAckMsg& msg, NodeId from);
-  void on_snapshot_push_timeout(NodeId dest);
 
   // --- post-heal reconciliation round (kReconcile) -----------------------------
   // When a ring merge / reform / shape adoption completes — or a crash
@@ -273,7 +276,6 @@ class NetworkEntity : public proto::Process {
   void run_reconcile_round();
   void handle_reconcile(const ReconcileMsg& msg, NodeId from);
   void handle_reconcile_ack(const ReconcileAckMsg& msg);
-  void on_reconcile_retx_timeout(std::uint64_t reconcile_id);
   /// Machinery re-arm shared by the reconcile triggers: timers that died
   /// in a crash window are re-armed and request chains aimed at a
   /// replaced leader are reset so queued ops flow through the new ring
@@ -340,10 +342,14 @@ class NetworkEntity : public proto::Process {
   sim::EventId round_watchdog_{};
 
   // --- holder state ------------------------------------------------------------------
-  std::uint64_t pending_leave_notify_id_ = 0;
-  bool token_requested_ = false;
-  sim::EventId request_retx_timer_{};
-  int request_retx_count_ = 0;
+  /// A non-leader's NE-Leave request, keyed by its notify id, until the
+  /// Holder-Acknowledgement of the round that carried it.
+  proto::Retransmitter<std::uint64_t, std::monostate> pending_leave_;
+  /// The token request chain: one key, re-sent to the current leader.
+  proto::Retransmitter<std::monostate, std::monostate> token_request_;
+  [[nodiscard]] bool token_requested() const {
+    return token_request_.contains({});
+  }
   /// Last time the request chain made progress (sent a request); lets the
   /// probe tick tell a live chain from one whose timer died in a crash.
   sim::Time last_request_activity_ = 0;
@@ -371,21 +377,20 @@ class NetworkEntity : public proto::Process {
   struct InflightHop {
     Token token;
     NodeId target;
-    int retx = 0;
-    sim::EventId timer{};
   };
-  std::unordered_map<std::uint64_t, InflightHop> inflight_hops_;
-  void on_token_retx_timeout(std::uint64_t round_id);
+  proto::Retransmitter<std::uint64_t, InflightHop> inflight_hops_;
+  void resend_hop(std::uint64_t round_id, InflightHop& hop, int attempt);
+  proto::Exhausted hop_exhausted(std::uint64_t round_id, InflightHop& hop);
 
   // --- notification reliability ----------------------------------------------------------
   struct PendingNotify {
     NodeId dest;
     std::vector<MembershipOp> ops;
     bool downward = false;
-    int retx = 0;
-    sim::EventId timer{};
   };
-  std::unordered_map<std::uint64_t, PendingNotify> pending_notifies_;
+  proto::Retransmitter<std::uint64_t, PendingNotify> pending_notifies_;
+  proto::Exhausted notify_exhausted(std::uint64_t notify_id,
+                                    PendingNotify& pending);
 
   // --- dedup of disseminated ops ------------------------------------------------------------
   std::unordered_set<std::uint64_t> disseminated_;
@@ -408,15 +413,12 @@ class NetworkEntity : public proto::Process {
   bool snapshot_dirty_ring_ = false;   ///< peers owed a push (leader only)
   bool snapshot_dirty_child_ = false;  ///< child ring leader owed a push
   /// Flush-edge reliability: one pending push per destination, cleared by
-  /// the matching kSnapshotAck and retransmitted (with the then-current
-  /// table) until acked or past the notify retx budget.
+  /// the kSnapshotAck of the digest last sent and retransmitted (with the
+  /// then-current table) until acked or past the notify retx budget.
   struct PendingSnapshotPush {
     std::uint64_t digest = 0;
-    std::uint64_t entry_count = 0;
-    int retx = 0;
-    sim::EventId timer{};
   };
-  std::unordered_map<NodeId, PendingSnapshotPush> pending_snapshot_pushes_;
+  proto::Retransmitter<NodeId, PendingSnapshotPush> pending_snapshot_pushes_;
   /// snapshot_payload() cache: the encoded table keyed by its digest.
   net::Payload snapshot_payload_cache_;
   std::uint64_t snapshot_payload_digest_ = 0;
@@ -428,10 +430,8 @@ class NetworkEntity : public proto::Process {
   struct PendingReconcile {
     NodeId dest;
     std::vector<AttachClaim> claims;
-    int retx = 0;
-    sim::EventId timer{};
   };
-  std::unordered_map<std::uint64_t, PendingReconcile> pending_reconciles_;
+  proto::Retransmitter<std::uint64_t, PendingReconcile> pending_reconciles_;
   std::uint64_t reconcile_counter_ = 0;
   /// Last probe tick seen; a gap of several periods means the ticks were
   /// suppressed by a crash window — the recovery trigger of the
@@ -463,7 +463,8 @@ class NetworkEntity : public proto::Process {
   void cancel_alert(NodeId suspect);
   void handle_alert(const AlertMsg& msg, NodeId from);
   void handle_alert_ack(const AlertAckMsg& msg, NodeId from);
-  void on_alert_ping_timeout(NodeId suspect);
+  /// The liveness ping shared by alert pings and cut verifications.
+  void send_alert_ping(NodeId suspect, std::uint64_t alert_id);
   void on_stability_fallback(NodeId suspect, std::uint64_t alert_id);
   /// Aggregator intake + fire check (this NE hosts the cut decision).
   void observe_alert(NodeId suspect, NodeId observer);
@@ -476,34 +477,29 @@ class NetworkEntity : public proto::Process {
   /// forgets the suspect, silence lets the cut proceed. Returns true when
   /// any verification was started by this call.
   bool start_cut_verifications();
-  [[nodiscard]] bool cut_verifies_in_flight() const;
-  void on_verify_ping_timeout(NodeId suspect);
-  void cancel_cut_verification(NodeId suspect);
   /// Cancels every pending alert and pending cut (ring reconfigured: the
   /// evidence predates the new shape; live detectors re-alert).
   void reset_stability_state();
 
-  /// One alert this NE raised and has not resolved, keyed by suspect.
+  /// One alert this NE raised and has not resolved, keyed by suspect; its
+  /// liveness ping re-sends until the ack, a cut or the fallback.
   struct PendingAlert {
     std::uint64_t alert_id = 0;
-    NodeId aggregator;           ///< where the alert was filed
-    sim::EventId ping_timer{};   ///< liveness ping retx cadence
+    NodeId aggregator;  ///< where the alert was filed
     sim::EventId fallback_timer{};
   };
-  std::unordered_map<NodeId, PendingAlert> pending_alerts_;
+  proto::Retransmitter<NodeId, PendingAlert> pending_alerts_;
   StabilityAggregator stability_;
   sim::EventId stability_cut_timer_{};
   std::uint64_t alert_counter_ = 0;
   /// Aggregator-side pre-cut liveness verification, keyed by suspect. An
   /// entry with `expired == true` failed verification and no longer blocks
-  /// the cut (and is not re-verified).
+  /// the cut (and is not re-verified); it stays, timer stopped.
   struct PendingVerify {
     std::uint64_t alert_id = 0;
-    int pings_left = 0;          ///< remaining retransmissions
     bool expired = false;
-    sim::EventId ping_timer{};
   };
-  std::map<NodeId, PendingVerify> pending_verifies_;
+  proto::Retransmitter<NodeId, PendingVerify> pending_verifies_;
 
   // --- MH liveness monitoring (faulty-disconnection detection) ----------------
   void handle_mh_heartbeat(const MhHeartbeatMsg& msg, NodeId from);

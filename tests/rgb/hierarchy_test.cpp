@@ -279,6 +279,22 @@ TEST_F(HierarchyTest, GracefulLeaveShrinksRing) {
   EXPECT_TRUE(sys.entity(ring[0])->ring_members().contains(common::Guid{1}));
 }
 
+TEST_F(HierarchyTest, LostLeaveRequestIsRetransmitted) {
+  auto& sys = build(1, 4);
+  const auto& ring = sys.rings(0).front();
+  auto* leaver = sys.entity(ring[2]);  // non-leader
+  const net::LinkConfig healthy{};
+  network_.set_link(ring[2], ring[0], net::LinkConfig{healthy.latency, 1.0});
+  leaver->request_ring_leave();  // the first request is dropped
+  network_.set_link(ring[2], ring[0], healthy);
+  run_all();
+  for (const auto id : ring) {
+    if (id == ring[2]) continue;
+    EXPECT_EQ(sys.entity(id)->roster().size(), 3u);
+  }
+  EXPECT_TRUE(leaver->roster().empty());  // detached after Holder-Ack
+}
+
 TEST_F(HierarchyTest, LeaderLeaveHandsOverLeadership) {
   auto& sys = build(1, 4);
   const auto& ring = sys.rings(0).front();
